@@ -17,18 +17,18 @@ fn scaled(n: u32, scale: f64) -> u32 {
     ((f64::from(n) * scale).round() as u32).max(1)
 }
 
-/// The per-core private arenas every preset declares first: a 96-line
-/// hot set at line 0 and a 4096-line stream area at line 4096.
-fn private_arenas(cores: usize) -> (Vec<Region>, Vec<Region>, Vec<RegionDecl>) {
-    let hot: Vec<Region> = (0..cores).map(|c| Region::private(c, 0, 96)).collect();
+/// The per-core private arenas every preset declares first (a 96-line
+/// hot set at line 0, a 4096-line stream area at line 4096): the stream
+/// regions and the declarations of both.
+fn private_arenas(cores: usize) -> (Vec<Region>, Vec<RegionDecl>) {
+    let hot = (0..cores).map(|c| Region::private(c, 0, 96));
     let stream: Vec<Region> = (0..cores).map(|c| Region::private(c, 4096, 4096)).collect();
     let decls = hot
-        .iter()
         .enumerate()
-        .chain(stream.iter().enumerate())
+        .chain(stream.iter().copied().enumerate())
         .map(|(c, r)| r.decl_private(c))
         .collect();
-    (hot, stream, decls)
+    (stream, decls)
 }
 
 /// ocean-nc: a private stream (2 passes, 2 words per line, 30% writes),
@@ -36,7 +36,7 @@ fn private_arenas(cores: usize) -> (Vec<Region>, Vec<Region>, Vec<RegionDecl>) {
 /// read-write sharing of that grid.
 pub fn ocean(cores: usize, scale: f64, seed: u64) -> Workload {
     let mut p = Phases::new(cores, seed);
-    let (_, stream, mut decls) = private_arenas(cores);
+    let (stream, mut decls) = private_arenas(cores);
     let grid = Region::shared(0, cores as u64 * 96);
     decls.push(grid.decl_shared());
     p.private_stream(&stream, 2, 4, 0.3);
@@ -51,7 +51,7 @@ pub fn ocean(cores: usize, scale: f64, seed: u64) -> Workload {
 /// one word per line (60% writes). The preset has no scaled phase.
 pub fn matmul(cores: usize, seed: u64) -> Workload {
     let mut p = Phases::new(cores, seed);
-    let (_, _, mut decls) = private_arenas(cores);
+    let (_, mut decls) = private_arenas(cores);
     let b_matrix = Region::shared(0, 512);
     decls.push(b_matrix.decl_shared());
     let a_rows: Vec<Region> = (0..cores).map(|c| Region::private(c, 4096, 512)).collect();

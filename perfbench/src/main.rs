@@ -123,11 +123,11 @@ impl Job {
         }
     }
 
-    fn label(self) -> String {
+    fn label(self) -> &'static str {
         match self.source {
-            Source::Ocean(_) => "ocean-nc".into(),
-            Source::Matmul(_) => "matmul".into(),
-            Source::Preset(b) => b.name().into(),
+            Source::Ocean(_) => Benchmark::OceanNc.name(),
+            Source::Matmul(_) => Benchmark::Matmul.name(),
+            Source::Preset(b) => b.name(),
         }
     }
 
@@ -773,7 +773,10 @@ fn traced(
     }
 
     let profiles = match profile(a.kind, a.seed) {
-        Ok(p) if p.len() == jobs.len() => p,
+        Ok(p) if p.len() == jobs.len() => {
+            tally.op(None);
+            p
+        }
         Ok(p) => {
             tally.op(Some(format!(
                 "profile child printed {} lines for {} jobs",
@@ -787,9 +790,6 @@ fn traced(
             Vec::new()
         }
     };
-    if !profiles.is_empty() {
-        tally.op(None);
-    }
 
     let mut costs = Costs::default();
     for (i, (job, sim)) in jobs.iter().zip(&plain.sims).enumerate() {
