@@ -23,7 +23,7 @@ import signal
 import subprocess
 import sys
 
-WORKLOADS = ("sim64-ocean", "replay64-matmul", "figures")
+WORKLOADS = ("sim64-ocean", "replay64-matmul")
 # A run must end within 180 s; the workload process is stopped before that.
 RUN_LIMIT_S = 170
 SOURCE_DIRS = ("crates", "vendor", "perfbench")

@@ -1,14 +1,14 @@
-//! The `figures` workload: the figure binaries run as CI runs them
-//! (`--scale 0.02 --cores 8 --quiet --jobs 2`), each invocation in a fresh
-//! working directory under the benchmark's output directory, so nothing
-//! under the repository's `results/` is written.
+//! The figure binaries, timed one by one in the traced run as CI runs them
+//! (`--scale 0.02 --cores 8 --quiet --jobs 2`), in a fresh working
+//! directory under the benchmark's output directory, so nothing under the
+//! repository's `results/` is written.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Instant;
 
 /// The flags CI passes to `all_figures`; its goldens were made with them.
-pub const ARGS: [&str; 7] = ["--scale", "0.02", "--cores", "8", "--quiet", "--jobs", "2"];
+const ARGS: [&str; 7] = ["--scale", "0.02", "--cores", "8", "--quiet", "--jobs", "2"];
 
 /// What `all_figures` runs, in its order.
 pub const BINARIES: [&str; 14] = [
@@ -33,17 +33,8 @@ pub const GOLDEN: [&str; 2] = ["fig01_02_utilization.csv", "fig14_oneway.csv"];
 
 /// One regeneration of every figure.
 pub struct FigureRun {
-    /// Host seconds of the whole regeneration.
-    pub wall_s: f64,
-    /// Host seconds per binary, in [`BINARIES`] order (empty for an
-    /// `all_figures` run, which reports them with two decimals only).
+    /// Host seconds per binary, in [`BINARIES`] order.
     pub per_binary_s: Vec<f64>,
-    /// Everything the binaries printed to stdout.
-    pub stdout: Vec<u8>,
-    /// Σ `total_cycles` over `fig09_completion.csv` (simulated cycles).
-    pub fig09_cycles: u64,
-    /// Σ `total` over `fig08_energy.csv` (simulated picojoules).
-    pub fig08_energy_pj: f64,
     /// Why the run counts as failed, if it does.
     pub failures: Vec<String>,
 }
@@ -67,32 +58,10 @@ impl Drop for WorkDir {
     }
 }
 
-/// Sum of column `column` over the rows of a CSV.
-fn column_sum(csv: &str, column: &str) -> Result<f64, String> {
-    let mut lines = csv.lines();
-    let header = lines.next().ok_or("empty CSV")?;
-    let idx =
-        header.split(',').position(|h| h == column).ok_or_else(|| format!("no column {column}"))?;
-    let mut sum = 0.0;
-    for line in lines {
-        let cell = line.split(',').nth(idx).ok_or_else(|| format!("short row {line:?}"))?;
-        sum += cell.parse::<f64>().map_err(|e| format!("{cell:?}: {e}"))?;
-    }
-    Ok(sum)
-}
-
-/// Regenerates every figure into `work`: through `all_figures` when
-/// `per_binary` is false, else by running each binary in turn with the
-/// same flags, timing each. Checks the golden CSVs against `root`'s.
-pub fn regenerate(bin_dir: &Path, root: &Path, work: &Path, per_binary: bool) -> FigureRun {
-    let mut run = FigureRun {
-        wall_s: 0.0,
-        per_binary_s: Vec::new(),
-        stdout: Vec::new(),
-        fig09_cycles: 0,
-        fig08_energy_pj: 0.0,
-        failures: Vec::new(),
-    };
+/// Regenerates every figure into `work` by running each binary in turn
+/// with CI's flags, timing each. Checks the golden CSVs against `root`'s.
+pub fn regenerate(bin_dir: &Path, root: &Path, work: &Path) -> FigureRun {
+    let mut run = FigureRun { per_binary_s: Vec::new(), failures: Vec::new() };
     let dir = match WorkDir::new(work.to_path_buf()) {
         Ok(d) => d,
         Err(e) => {
@@ -100,22 +69,16 @@ pub fn regenerate(bin_dir: &Path, root: &Path, work: &Path, per_binary: bool) ->
             return run;
         }
     };
-    let binaries: Vec<&str> = if per_binary { BINARIES.to_vec() } else { vec!["all_figures"] };
-    let started = Instant::now();
-    for bin in binaries {
+    for bin in BINARIES {
         let t = Instant::now();
         let out = Command::new(bin_dir.join(bin)).args(ARGS).current_dir(&dir.0).output();
-        let secs = t.elapsed().as_secs_f64();
+        run.per_binary_s.push(t.elapsed().as_secs_f64());
         match out {
-            Ok(out) if out.status.success() => run.stdout.extend_from_slice(&out.stdout),
+            Ok(out) if out.status.success() => {}
             Ok(out) => run.failures.push(format!("{bin} exited with {}", out.status)),
             Err(e) => run.failures.push(format!("cannot launch {bin}: {e}")),
         }
-        if per_binary {
-            run.per_binary_s.push(secs);
-        }
     }
-    run.wall_s = started.elapsed().as_secs_f64();
 
     let read = |name: &str, base: &Path| std::fs::read_to_string(base.join(name));
     let results = dir.0.join("results");
@@ -126,29 +89,5 @@ pub fn regenerate(bin_dir: &Path, root: &Path, work: &Path, per_binary: bool) ->
             (Err(e), _) | (_, Err(e)) => run.failures.push(format!("{name}: {e}")),
         }
     }
-    let sum = |name: &str, column: &str| {
-        read(name, &results).map_err(|e| e.to_string()).and_then(|csv| column_sum(&csv, column))
-    };
-    match sum("fig09_completion.csv", "total_cycles") {
-        Ok(c) => run.fig09_cycles = c as u64,
-        Err(e) => run.failures.push(format!("fig09_completion.csv: {e}")),
-    }
-    match sum("fig08_energy.csv", "total") {
-        Ok(e) => run.fig08_energy_pj = e,
-        Err(e) => run.failures.push(format!("fig08_energy.csv: {e}")),
-    }
     run
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn column_sum_reads_the_named_column() {
-        let csv = "a,total,b\nx,1.5,2\ny,2.5,3\n";
-        assert_eq!(column_sum(csv, "total"), Ok(4.0));
-        assert!(column_sum(csv, "missing").is_err());
-        assert!(column_sum("a,total\nx,oops\n", "total").is_err());
-    }
 }

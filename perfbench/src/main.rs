@@ -14,6 +14,7 @@
 mod figures;
 mod gen;
 mod kernels;
+mod reference;
 mod spans;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,29 +32,26 @@ use lacc_sim::{SimOptions, SimReport, Simulator, TraceOp, Workload};
 use lacc_workloads::Benchmark;
 
 use kernels::Costs;
+use reference::Reference;
 use spans::Spans;
 
 /// Scale of the ocean-nc trace: ≈3.8M engine events at 64 cores.
 const OCEAN_SCALE: f64 = 0.1;
-/// Machine size and scale of the figure binaries' CI configuration.
+/// Machine size and scale of the figure binaries' CI configuration, at
+/// which the traced run times the sweep pool.
 const FIG_CORES: usize = 8;
 const FIG_SCALE: f64 = 0.02;
 /// PCT values of the fixed 8-core grid the sweep pool is timed on.
 const POOL_PCTS: [u32; 2] = [1, 4];
-/// Fewest simulation passes / figure regenerations a run reports a median of.
-const MIN_PASSES: usize = 3;
-const MIN_FIGURE_RUNS: usize = 2;
+/// Fewest timed simulation passes a run reports the median of.
+const MIN_PASSES: usize = 5;
 /// Rounds of untraced, traced and monitor-off passes in a traced run.
 const TRACED_ROUNDS: usize = 3;
-/// Share of a `figures` run each block of in-process passes over its
-/// traces takes; one block precedes and one follows every regeneration.
-const FIG_PASS_BLOCK: f64 = 0.08;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Kind {
     Ocean,
     Matmul,
-    Figures,
 }
 
 impl Kind {
@@ -61,7 +59,6 @@ impl Kind {
         match name {
             "sim64-ocean" => Some(Kind::Ocean),
             "replay64-matmul" => Some(Kind::Matmul),
-            "figures" => Some(Kind::Figures),
             _ => None,
         }
     }
@@ -70,21 +67,14 @@ impl Kind {
         match self {
             Kind::Ocean => "sim64-ocean",
             Kind::Matmul => "replay64-matmul",
-            Kind::Figures => "figures",
         }
     }
 
-    /// The simulations one pass runs. `figures` uses the 21 suite traces
-    /// at the figure binaries' size; their seeds are fixed by
-    /// `Benchmark::build`, so `seed` does not reach them.
+    /// The simulations one pass runs.
     fn jobs(self, seed: u64) -> Vec<Job> {
         match self {
             Kind::Ocean => vec![Job { source: Source::Ocean(seed), cores: 64, ltf: false }],
             Kind::Matmul => vec![Job { source: Source::Matmul(seed), cores: 64, ltf: true }],
-            Kind::Figures => Benchmark::ALL
-                .iter()
-                .map(|&b| Job { source: Source::Preset(b), cores: FIG_CORES, ltf: false })
-                .collect(),
         }
     }
 
@@ -93,7 +83,6 @@ impl Kind {
         match self {
             Kind::Ocean => OCEAN_SCALE.to_string(),
             Kind::Matmul => "null".to_string(),
-            Kind::Figures => FIG_SCALE.to_string(),
         }
     }
 }
@@ -102,7 +91,6 @@ impl Kind {
 enum Source {
     Ocean(u64),
     Matmul(u64),
-    Preset(Benchmark),
 }
 
 /// One simulation: its trace, machine size, and whether set-up round-trips
@@ -119,7 +107,6 @@ impl Job {
         match self.source {
             Source::Ocean(seed) => gen::ocean(self.cores, OCEAN_SCALE, seed),
             Source::Matmul(seed) => gen::matmul(self.cores, seed),
-            Source::Preset(b) => b.build(self.cores, FIG_SCALE),
         }
     }
 
@@ -127,7 +114,6 @@ impl Job {
         match self.source {
             Source::Ocean(_) => Benchmark::OceanNc.name(),
             Source::Matmul(_) => Benchmark::Matmul.name(),
-            Source::Preset(b) => b.name(),
         }
     }
 
@@ -294,14 +280,6 @@ fn judge(
     }
 }
 
-fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 fn median(mut values: Vec<f64>) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -416,14 +394,8 @@ fn run(a: &Args) -> Result<(), String> {
         ("cores", jobs[0].cores.to_string()),
         ("scale", a.kind.scale_json()),
         ("simulations_per_pass", jobs.len().to_string()),
+        ("jobs", "1".to_string()),
     ];
-    if a.kind == Kind::Figures {
-        record.push(("jobs", "2".into()));
-        record.push(("figure_args", json_str(&figures::ARGS.join(" "))));
-        record.push(("seed_reaches_traces", "false".into()));
-    } else {
-        record.push(("jobs", "1".into()));
-    }
     if a.trace {
         traced(a, &jobs, &mut tally, &mut metrics, &mut record)?;
     } else {
@@ -470,60 +442,15 @@ fn own_peak_rss_kib() -> u64 {
         .unwrap_or(0)
 }
 
-/// The largest peak resident set, in KiB, of the descendants this process
-/// has waited for (`getrusage(RUSAGE_CHILDREN)`).
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-fn children_peak_rss_kib() -> u64 {
-    /// `struct rusage` on 64-bit Linux: two `timeval`s, then 14 `long`s.
-    #[repr(C)]
-    struct RUsage {
-        times: [i64; 4],
-        maxrss: i64,
-        rest: [i64; 13],
-    }
-    extern "C" {
-        fn getrusage(who: i32, usage: *mut RUsage) -> i32;
-    }
-    const RUSAGE_CHILDREN: i32 = -1;
-    let mut usage = RUsage { times: [0; 4], maxrss: 0, rest: [0; 13] };
-    // SAFETY: `usage` is a live, writable value with the layout of
-    // `struct rusage` on this target, the only memory getrusage writes.
-    let rc = unsafe { getrusage(RUSAGE_CHILDREN, &mut usage) };
-    if rc == 0 {
-        u64::try_from(usage.maxrss).unwrap_or(0)
-    } else {
-        0
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-fn children_peak_rss_kib() -> u64 {
-    0
-}
-
-/// Runs passes until `until` (and at least `min` of them), judging each.
-fn passes_until(
-    jobs: &[Job],
-    until: Instant,
-    min: usize,
-    passes: &mut Vec<Pass>,
-    reference: &mut [Option<String>],
-    tally: &mut Tally,
-) {
-    let mut n = 0;
-    while n < min || Instant::now() < until {
-        let pass = Pass::run(jobs, options(true), &mut Spans::new(false));
-        judge(tally, "pass", jobs, &pass, reference, true);
-        passes.push(pass);
-        n += 1;
-    }
-}
-
-/// End-to-end metrics, tracing off. A `figures` run interleaves short
-/// blocks of passes with its figure regenerations, so both sample the
-/// whole run window. `peak_rss_mb` is taken after the first pass, since
-/// later passes add only allocator fragmentation and their number depends
-/// on the host's speed; for `figures` it also covers the figure binaries.
+/// End-to-end metrics, tracing off. A warm-up pass, which is judged but
+/// not timed, is followed by timed passes until `--seconds` have passed
+/// (at least `MIN_PASSES`), with a sample of the host-speed reference
+/// before each timed pass and after the last. Each pass's times are
+/// scaled by the mean of the two samples around it, and every timing is
+/// the median over the passes (README.md). `peak_rss_mb` is read after
+/// the warm-up pass, before the reference's buffers exist, since later
+/// passes add only allocator fragmentation and their number depends on
+/// the host's speed.
 fn untraced(
     a: &Args,
     jobs: &[Job],
@@ -531,61 +458,51 @@ fn untraced(
     metrics: &mut Metrics,
     record: &mut Vec<(&'static str, String)>,
 ) {
-    let started = Instant::now();
-    let budget = Duration::from_secs_f64(a.seconds);
     let mut reference = vec![None; jobs.len()];
-    let mut passes = Vec::new();
-    let mut runs: Vec<figures::FigureRun> = Vec::new();
-    passes_until(jobs, started, 1, &mut passes, &mut reference, tally);
-    let first_pass_rss_kib = own_peak_rss_kib();
-    if a.kind == Kind::Figures {
-        let block = budget.mul_f64(FIG_PASS_BLOCK);
-        loop {
-            passes_until(jobs, Instant::now() + block, 2, &mut passes, &mut reference, tally);
-            let last = runs.last().map_or(Duration::ZERO, |r| Duration::from_secs_f64(r.wall_s));
-            if runs.len() >= MIN_FIGURE_RUNS && started.elapsed() + last + block > budget {
-                break;
-            }
-            let work = a.out_dir.join(format!("work-{}-{}", std::process::id(), runs.len()));
-            let run = figures::regenerate(&a.bin_dir, &a.root, &work, false);
-            let mut failure = run.failures.first().cloned();
-            if let Some(first) = runs.first() {
-                if failure.is_none() && run.stdout != first.stdout {
-                    failure = Some("all_figures stdout differs between runs".into());
-                }
-            }
-            tally.op(failure.map(|f| format!("all_figures: {f}")));
-            runs.push(run);
-        }
-    } else {
-        passes_until(jobs, started + budget, MIN_PASSES, &mut passes, &mut reference, tally);
-    }
+    let warm_up = Pass::run(jobs, options(true), &mut Spans::new(false));
+    judge(tally, "warm-up pass", jobs, &warm_up, &mut reference, true);
+    let peak_rss_mb = own_peak_rss_kib() as f64 / 1024.0;
 
-    let good: Vec<&Pass> = passes.iter().filter(|p| p.ok()).collect();
-    let walls: Vec<String> =
-        good.iter().map(|p| format!("{:.4}", p.setup_s() + p.run_s())).collect();
-    record.push(("pass_wall_s", format!("[{}]", walls.join(","))));
-    // Means over the whole run: the host's speed drifts in bursts and
-    // phases, and across runs the mean was steadier than any single
-    // order statistic of the samples (README.md).
-    let setup_s = mean(&good.iter().map(|p| p.setup_s()).collect::<Vec<_>>());
-    let instructions: u64 = good.iter().map(|p| p.sum(|s| s.report.instructions)).sum();
-    let run_s: f64 = good.iter().map(|p| p.run_s()).sum();
-    let kips = if run_s > 0.0 { instructions as f64 / run_s / 1e3 } else { 0.0 };
-    let peak_rss_mb = first_pass_rss_kib.max(children_peak_rss_kib()) as f64 / 1024.0;
-    let (wall_s, sim_cycles, sim_energy_pj) = if let Some(first) = runs.first() {
-        let walls: Vec<String> = runs.iter().map(|r| format!("{:.4}", r.wall_s)).collect();
-        record.push(("figure_wall_s", format!("[{}]", walls.join(","))));
-        let wall_s = mean(&runs.iter().map(|r| r.wall_s).collect::<Vec<_>>());
-        (wall_s, first.fig09_cycles, first.fig08_energy_pj)
-    } else {
-        let reports = good.first().map(|p| p.reports().collect::<Vec<_>>()).unwrap_or_default();
-        (
-            mean(&good.iter().map(|p| p.setup_s() + p.run_s()).collect::<Vec<_>>()),
-            reports.iter().map(|r| r.completion_time).sum(),
-            reports.iter().map(|r| r.total_energy()).sum(),
-        )
+    let mut speed = Reference::new();
+    let deadline = Instant::now() + Duration::from_secs_f64(a.seconds);
+    let mut passes = Vec::new();
+    while passes.len() < MIN_PASSES || Instant::now() < deadline {
+        speed.sample();
+        let pass = Pass::run(jobs, options(true), &mut Spans::new(false));
+        judge(tally, "pass", jobs, &pass, &mut reference, true);
+        passes.push(pass);
+    }
+    speed.sample();
+
+    let list = |values: &mut dyn Iterator<Item = f64>| {
+        let v: Vec<String> = values.map(|x| format!("{x:.4}")).collect();
+        format!("[{}]", v.join(","))
     };
+    record.push(("pass_setup_s", list(&mut passes.iter().map(Pass::setup_s))));
+    record.push(("pass_run_s", list(&mut passes.iter().map(Pass::run_s))));
+    record.push(("reference_s", reference::REFERENCE_S.to_string()));
+    record.push(("reference_samples_s", list(&mut speed.samples().iter().copied())));
+
+    // (scale, pass) for every pass that did not fail.
+    let good: Vec<(f64, &Pass)> = passes
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| p.ok())
+        .map(|(i, p)| (speed.scale_around(i), p))
+        .collect();
+    let wall_s = median(good.iter().map(|(k, p)| k * (p.setup_s() + p.run_s())).collect());
+    let setup_s = median(good.iter().map(|(k, p)| k * p.setup_s()).collect());
+    let kips = median(
+        good.iter()
+            .map(|(k, p)| p.sum(|s| s.report.instructions) as f64 / (k * p.run_s()) / 1e3)
+            .collect(),
+    );
+    let reports: Vec<&SimReport> = std::iter::once(&warm_up)
+        .chain(&passes)
+        .find(|p| p.ok())
+        .map_or(Vec::new(), |p| p.reports().collect());
+    let sim_cycles: u64 = reports.iter().map(|r| r.completion_time).sum();
+    let sim_energy_pj: f64 = reports.iter().map(|r| r.total_energy()).sum();
     metrics.put("wall_s", wall_s, "s");
     metrics.put("setup_s", setup_s, "s");
     metrics.put("sim_kips", kips, "kinstr/s");
@@ -807,8 +724,7 @@ fn traced(
 
     let speedup = spans.time("experiments.pool", || pool_speedup(tally));
     let work = a.out_dir.join(format!("work-{}-traced", std::process::id()));
-    let figs =
-        spans.time("figures.per_binary", || figures::regenerate(&a.bin_dir, &a.root, &work, true));
+    let figs = spans.time("figures.per_binary", || figures::regenerate(&a.bin_dir, &a.root, &work));
     tally.op(figs.failures.first().map(|f| format!("figure binaries: {f}")));
     let preset_ok = spans.time("selftest", || gen::preset_matches(64, OCEAN_SCALE));
     tally.op((!preset_ok).then(|| "seeded generators differ from the presets at their seeds".into()));
@@ -937,12 +853,10 @@ mod tests {
     }
 
     #[test]
-    fn median_and_mean() {
+    fn median_of_odd_even_and_empty() {
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(Vec::new()), 0.0);
-        assert_eq!(mean(&[1.0, 2.0, 6.0]), 3.0);
-        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]
