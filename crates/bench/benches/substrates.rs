@@ -35,6 +35,39 @@ fn bench_cache(c: &mut Criterion) {
             black_box(cache.insert(LineAddr::new(l), l));
         });
     });
+    // The Table-1 L2 at full size: 64 slices of 512 sets x 8 ways, each
+    // way holding a payload the size of the engine's `L2Line` (280 bytes),
+    // so the ≈75 MB array cannot sit in the host caches and the tag
+    // store's layout shows. A pseudo-random line stream over twice the
+    // capacity mixes hits (`get_mut`) with misses (`insert` + eviction).
+    g.bench_function("l2_slices_64tiles", |b| {
+        const SLICES: usize = 64;
+        const SETS: usize = 512;
+        const WAYS: usize = 8;
+        let mut slices: Vec<SetAssocCache<[u64; 35]>> =
+            (0..SLICES).map(|_| SetAssocCache::new(SETS, WAYS)).collect();
+        let footprint = (2 * SETS * WAYS) as u64;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut step = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            ((x % SLICES as u64) as usize, LineAddr::new((x >> 6) % footprint))
+        };
+        for _ in 0..SLICES * SETS * WAYS {
+            let (s, line) = step();
+            slices[s].insert(line, [line.raw(); 35]);
+        }
+        b.iter(|| {
+            let (s, line) = step();
+            match slices[s].get_mut(line) {
+                Some(payload) => payload[0] += 1,
+                None => {
+                    black_box(slices[s].insert(line, [line.raw(); 35]));
+                }
+            }
+        });
+    });
     g.finish();
 }
 

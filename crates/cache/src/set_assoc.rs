@@ -12,12 +12,9 @@ use lacc_model::LineAddr;
 
 use crate::replacement::ReplacementKind;
 
-#[derive(Clone, Debug)]
-struct Way<M> {
-    line: LineAddr,
-    meta: M,
-    stamp: u64,
-}
+/// Tag of an invalid way. [`LineAddr::new`] masks line numbers to the
+/// physical address width, so no valid line can carry this value.
+const INVALID: u64 = u64::MAX;
 
 /// Result of [`SetAssocCache::insert`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -34,6 +31,11 @@ pub struct InsertOutcome<M> {
 /// [`SetAssocCache::insert`] refresh it, so LRU victims are exact (not
 /// pseudo-LRU), matching the paper's simulation model.
 ///
+/// The store is a structure of arrays: flat `tags`, `stamps` and `metas`
+/// indexed by `set * assoc + way`, so each set is a contiguous run. A
+/// lookup scans only the set's tags (one 64-byte run at 8 ways) and
+/// touches the single metadata slot it hits, however large `M` is.
+///
 /// # Examples
 ///
 /// ```
@@ -48,7 +50,12 @@ pub struct InsertOutcome<M> {
 /// ```
 #[derive(Clone)]
 pub struct SetAssocCache<M> {
-    sets: Vec<Vec<Option<Way<M>>>>,
+    /// Line number per way, [`INVALID`] when the way is free.
+    tags: Vec<u64>,
+    /// Last-use stamp per way (meaningful only for valid ways).
+    stamps: Vec<u64>,
+    /// Metadata per way: `Some` exactly when the way's tag is valid.
+    metas: Vec<Option<M>>,
     cursors: Vec<usize>,
     num_sets: usize,
     assoc: usize,
@@ -77,8 +84,11 @@ impl<M> SetAssocCache<M> {
     pub fn with_policy(num_sets: usize, assoc: usize, policy: ReplacementKind) -> Self {
         assert!(num_sets.is_power_of_two(), "num_sets must be a power of two");
         assert!(assoc > 0, "associativity must be positive");
+        let ways = num_sets * assoc;
         SetAssocCache {
-            sets: (0..num_sets).map(|_| (0..assoc).map(|_| None).collect()).collect(),
+            tags: vec![INVALID; ways],
+            stamps: vec![0; ways],
+            metas: (0..ways).map(|_| None).collect(),
             cursors: vec![0; num_sets],
             num_sets,
             assoc,
@@ -108,7 +118,7 @@ impl<M> SetAssocCache<M> {
     /// Number of valid lines currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sets.iter().flatten().filter(|w| w.is_some()).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     /// `true` when no line is valid.
@@ -123,9 +133,19 @@ impl<M> SetAssocCache<M> {
         (line.raw() as usize) & (self.num_sets - 1)
     }
 
+    /// The flat index range of one set's ways.
+    #[inline]
+    fn ways_of(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.assoc;
+        base..base + self.assoc
+    }
+
+    /// Flat index of a valid line's way.
+    #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
-        let set = self.set_index(line);
-        self.sets[set].iter().position(|w| w.as_ref().is_some_and(|w| w.line == line))
+        let ways = self.ways_of(self.set_index(line));
+        let base = ways.start;
+        self.tags[ways].iter().position(|&t| t == line.raw()).map(|w| base + w)
     }
 
     /// `true` if the line is valid in the cache. Does not update recency.
@@ -137,36 +157,29 @@ impl<M> SetAssocCache<M> {
     /// Metadata of a valid line. Does not update recency.
     #[must_use]
     pub fn get(&self, line: LineAddr) -> Option<&M> {
-        let set = self.set_index(line);
-        self.find(line).map(|w| &self.sets[set][w].as_ref().unwrap().meta)
+        self.find(line).and_then(|i| self.metas[i].as_ref())
     }
 
     /// Mutable metadata of a valid line, refreshing its recency stamp (this
     /// models the tag-array write that every hit performs, §3.6).
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut M> {
-        let set = self.set_index(line);
-        let way = self.find(line)?;
-        let stamp = self.bump_stamp();
-        let w = self.sets[set][way].as_mut().unwrap();
-        w.stamp = stamp;
-        Some(&mut w.meta)
+        let i = self.find(line)?;
+        self.stamps[i] = self.bump_stamp();
+        self.metas[i].as_mut()
     }
 
     /// Mutable metadata of a valid line *without* touching recency (for
     /// protocol actions such as invalidations that must not refresh LRU).
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut M> {
-        let set = self.set_index(line);
-        let way = self.find(line)?;
-        Some(&mut self.sets[set][way].as_mut().unwrap().meta)
+        let i = self.find(line)?;
+        self.metas[i].as_mut()
     }
 
     /// Refreshes the recency stamp of a valid line; returns `false` if the
     /// line is not present.
     pub fn touch(&mut self, line: LineAddr) -> bool {
-        let set = self.set_index(line);
-        if let Some(way) = self.find(line) {
-            let stamp = self.bump_stamp();
-            self.sets[set][way].as_mut().unwrap().stamp = stamp;
+        if let Some(i) = self.find(line) {
+            self.stamps[i] = self.bump_stamp();
             true
         } else {
             false
@@ -215,56 +228,44 @@ impl<M> SetAssocCache<M> {
         evictable: impl Fn(LineAddr, &M) -> bool,
     ) -> Result<Option<(LineAddr, M)>, M> {
         let set = self.set_index(line);
+        let ways = self.ways_of(set);
+        let base = ways.start;
         let stamp = self.bump_stamp();
 
-        // Refresh in place if already valid.
-        if let Some(way) = self.find(line) {
-            let w = self.sets[set][way].as_mut().unwrap();
-            w.meta = meta;
-            w.stamp = stamp;
-            return Ok(None);
-        }
-
-        // Fill an invalid way first.
-        if let Some(way) = self.sets[set].iter().position(Option::is_none) {
-            self.sets[set][way] = Some(Way { line, meta, stamp });
+        // Refresh in place if already valid; else fill an invalid way first.
+        let tags = &self.tags[ways];
+        let slot = tags.iter().position(|&t| t == line.raw());
+        if let Some(w) = slot.or_else(|| tags.iter().position(|&t| t == INVALID)) {
+            let i = base + w;
+            self.tags[i] = line.raw();
+            self.stamps[i] = stamp;
+            self.metas[i] = Some(meta);
             return Ok(None);
         }
 
         // Pick a victim among evictable ways only.
-        let candidate_stamps: Vec<u64> = self.sets[set]
-            .iter()
-            .map(|w| {
-                let w = w.as_ref().unwrap();
-                if evictable(w.line, &w.meta) {
-                    w.stamp
-                } else {
-                    u64::MAX // never chosen by LRU unless all are MAX
-                }
-            })
-            .collect();
-        if candidate_stamps.iter().all(|&s| s == u64::MAX) {
+        let (tags, stamps, metas) = (&self.tags, &self.stamps, &self.metas);
+        let candidate = |w: usize| {
+            let i = base + w;
+            let m = metas[i].as_ref().expect("full set holds valid ways");
+            evictable(LineAddr::new(tags[i]), m).then_some(stamps[i])
+        };
+        let Some(victim) = self.policy.pick_victim(self.assoc, self.cursors[set], candidate) else {
             return Err(meta);
-        }
-        let mut victim = self.policy.pick_victim(&candidate_stamps, self.cursors[set]);
-        if candidate_stamps[victim] == u64::MAX {
-            // Round-robin may land on a protected way; advance to the next
-            // evictable one deterministically.
-            victim = (0..self.assoc)
-                .map(|i| (victim + i) % self.assoc)
-                .find(|&i| candidate_stamps[i] != u64::MAX)
-                .expect("checked above that one way is evictable");
-        }
+        };
         self.cursors[set] = (victim + 1) % self.assoc;
-        let old = self.sets[set][victim].replace(Way { line, meta, stamp }).unwrap();
-        Ok(Some((old.line, old.meta)))
+        let i = base + victim;
+        let old_line = LineAddr::new(std::mem::replace(&mut self.tags[i], line.raw()));
+        self.stamps[i] = stamp;
+        let old = self.metas[i].replace(meta).expect("victim way is valid");
+        Ok(Some((old_line, old)))
     }
 
     /// Invalidates a line, returning its metadata.
     pub fn remove(&mut self, line: LineAddr) -> Option<M> {
-        let set = self.set_index(line);
-        let way = self.find(line)?;
-        Some(self.sets[set][way].take().unwrap().meta)
+        let i = self.find(line)?;
+        self.tags[i] = INVALID;
+        self.metas[i].take()
     }
 
     /// Iterates over the valid lines of one set as `(line, last_use_stamp,
@@ -274,19 +275,25 @@ impl<M> SetAssocCache<M> {
     ///
     /// Panics if `set >= num_sets`.
     pub fn iter_set(&self, set: usize) -> impl Iterator<Item = (LineAddr, u64, &M)> {
-        self.sets[set].iter().flatten().map(|w| (w.line, w.stamp, &w.meta))
+        assert!(set < self.num_sets, "set {set} out of range");
+        self.ways_of(set).filter_map(|i| {
+            self.metas[i].as_ref().map(|m| (LineAddr::new(self.tags[i]), self.stamps[i], m))
+        })
     }
 
     /// Number of invalid (free) ways in the set a line maps to.
     #[must_use]
     pub fn free_ways_in_set_of(&self, line: LineAddr) -> usize {
-        let set = self.set_index(line);
-        self.sets[set].iter().filter(|w| w.is_none()).count()
+        let ways = self.ways_of(self.set_index(line));
+        self.tags[ways].iter().filter(|&&t| t == INVALID).count()
     }
 
     /// Iterates over every valid line as `(line, &meta)`.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
-        self.sets.iter().flatten().flatten().map(|w| (w.line, &w.meta))
+        self.tags
+            .iter()
+            .zip(&self.metas)
+            .filter_map(|(&t, m)| Some((LineAddr::new(t), m.as_ref()?)))
     }
 
     fn bump_stamp(&mut self) -> u64 {
@@ -490,6 +497,82 @@ mod proptests {
             prop_assert_eq!(c.len(), recent.len());
         }
 
+        /// Every operation agrees with a plain per-set reference model —
+        /// victims, refusals, stamps and iteration order included — under
+        /// both replacement policies, with random protect masks.
+        #[test]
+        fn matches_per_set_model(
+            geometry in (0u32..4, 1usize..9),
+            ops in proptest::collection::vec((0u8..8, 0u64..64, 0u32..256, 0u8..4), 1..300)
+        ) {
+            let (set_bits, assoc) = geometry;
+            for policy in [ReplacementKind::Lru, ReplacementKind::RoundRobin] {
+                let mut c: SetAssocCache<u32> =
+                    SetAssocCache::with_policy(1 << set_bits, assoc, policy);
+                let mut m = model::Model::new(1 << set_bits, assoc, policy);
+                for (i, &(kind, l, mask, full)) in ops.iter().enumerate() {
+                    let line = LineAddr::new(l);
+                    let meta = i as u32;
+                    // Way protection by line: bit `line % 8` of the mask;
+                    // one op in four protects everything (full refusal).
+                    let mask = if full == 0 { 0xff } else { mask };
+                    let evictable = |l: LineAddr, _: &u32| mask & (1 << (l.raw() % 8)) == 0;
+                    match kind {
+                        0 | 1 => {
+                            let got = c.insert(line, meta).evicted;
+                            let want = m.insert(l, meta, |_| true).expect("never refused");
+                            prop_assert_eq!(got.map(|(l, m)| (l.raw(), m)), want);
+                        }
+                        2 => {
+                            let got = c.try_insert_filtered(line, meta, evictable);
+                            let want = m.insert(l, meta, |l| evictable(LineAddr::new(l), &0));
+                            prop_assert_eq!(got.map(|v| v.map(|(l, m)| (l.raw(), m))), want);
+                        }
+                        3 => {
+                            let got = c.insert_filtered(line, meta, evictable).evicted;
+                            let want = m
+                                .insert(l, meta, |l| evictable(LineAddr::new(l), &0))
+                                .unwrap_or_else(|meta| Some((l, meta)));
+                            prop_assert_eq!(got.map(|(l, m)| (l.raw(), m)), want);
+                        }
+                        4 => {
+                            let got = c.get_mut(line).map(|v| {
+                                *v += 1000;
+                                *v
+                            });
+                            prop_assert_eq!(got, m.get_mut(l, true).map(|v| {
+                                *v += 1000;
+                                *v
+                            }));
+                        }
+                        5 => {
+                            let got = c.peek_mut(line).map(|v| {
+                                *v += 1;
+                                *v
+                            });
+                            prop_assert_eq!(got, m.get_mut(l, false).map(|v| {
+                                *v += 1;
+                                *v
+                            }));
+                        }
+                        6 => prop_assert_eq!(c.touch(line), m.get_mut(l, true).is_some()),
+                        _ => prop_assert_eq!(c.remove(line), m.remove(l)),
+                    }
+                    prop_assert_eq!(c.len(), m.len());
+                    prop_assert_eq!(c.free_ways_in_set_of(line), m.free_ways(l));
+                    prop_assert_eq!(c.contains(line), m.get(l).is_some());
+                    prop_assert_eq!(c.get(line).copied(), m.get(l));
+                    let all: Vec<(u64, u32)> = c.iter().map(|(l, v)| (l.raw(), *v)).collect();
+                    prop_assert_eq!(all, m.iter().map(|(l, _, v)| (l, v)).collect::<Vec<_>>());
+                    for set in 0..c.num_sets() {
+                        let got: Vec<(u64, u64, u32)> =
+                            c.iter_set(set).map(|(l, s, v)| (l.raw(), s, *v)).collect();
+                        prop_assert_eq!(got, m.iter_set(set).collect::<Vec<_>>(), "{:?}", policy);
+                    }
+                }
+            }
+        }
+
         /// get/insert/remove agree with a naive map-based model.
         #[test]
         fn matches_reference_model(ops in proptest::collection::vec((0u64..32, 0u8..3), 1..200)) {
@@ -513,6 +596,118 @@ mod proptests {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The reference model for `matches_per_set_model`: each set a plain
+/// `Vec<Option<(line, stamp, meta)>>` in way order, victims chosen by a
+/// direct scan.
+#[cfg(test)]
+mod model {
+    use crate::ReplacementKind;
+
+    type Way = (u64, u64, u32);
+
+    pub struct Model {
+        sets: Vec<Vec<Option<Way>>>,
+        cursors: Vec<usize>,
+        next_stamp: u64,
+        policy: ReplacementKind,
+    }
+
+    impl Model {
+        pub fn new(num_sets: usize, assoc: usize, policy: ReplacementKind) -> Self {
+            Model {
+                sets: vec![vec![None; assoc]; num_sets],
+                cursors: vec![0; num_sets],
+                next_stamp: 1,
+                policy,
+            }
+        }
+
+        fn set(&self, line: u64) -> usize {
+            line as usize % self.sets.len()
+        }
+
+        fn way(&self, line: u64) -> Option<usize> {
+            self.sets[self.set(line)].iter().position(|w| w.is_some_and(|w| w.0 == line))
+        }
+
+        fn bump(&mut self) -> u64 {
+            self.next_stamp += 1;
+            self.next_stamp - 1
+        }
+
+        /// `Ok(victim)` or `Err(meta)` on refusal, as `try_insert_filtered`.
+        pub fn insert(
+            &mut self,
+            line: u64,
+            meta: u32,
+            evictable: impl Fn(u64) -> bool,
+        ) -> Result<Option<(u64, u32)>, u32> {
+            let set = self.set(line);
+            let stamp = self.bump();
+            let ways = &mut self.sets[set];
+            let assoc = ways.len();
+            if let Some(w) = ways.iter().position(|w| w.is_some_and(|w| w.0 == line)) {
+                ways[w] = Some((line, stamp, meta));
+                return Ok(None);
+            }
+            if let Some(w) = ways.iter().position(Option::is_none) {
+                ways[w] = Some((line, stamp, meta));
+                return Ok(None);
+            }
+            let ok: Vec<bool> = ways.iter().map(|w| evictable(w.unwrap().0)).collect();
+            let victim = match self.policy {
+                ReplacementKind::Lru => {
+                    (0..assoc).filter(|&w| ok[w]).min_by_key(|&w| (ways[w].unwrap().1, w))
+                }
+                ReplacementKind::RoundRobin => {
+                    (0..assoc).map(|i| (self.cursors[set] + i) % assoc).find(|&w| ok[w])
+                }
+            };
+            let Some(v) = victim else { return Err(meta) };
+            self.cursors[set] = (v + 1) % assoc;
+            let old = ways[v].replace((line, stamp, meta)).unwrap();
+            Ok(Some((old.0, old.2)))
+        }
+
+        pub fn get(&self, line: u64) -> Option<u32> {
+            self.way(line).map(|w| self.sets[self.set(line)][w].unwrap().2)
+        }
+
+        pub fn get_mut(&mut self, line: u64, refresh: bool) -> Option<&mut u32> {
+            let set = self.set(line);
+            let w = self.way(line)?;
+            let stamp = if refresh { Some(self.bump()) } else { None };
+            let way = self.sets[set][w].as_mut().unwrap();
+            if let Some(s) = stamp {
+                way.1 = s;
+            }
+            Some(&mut way.2)
+        }
+
+        pub fn remove(&mut self, line: u64) -> Option<u32> {
+            let set = self.set(line);
+            let w = self.way(line)?;
+            self.sets[set][w].take().map(|w| w.2)
+        }
+
+        pub fn len(&self) -> usize {
+            self.sets.iter().flatten().flatten().count()
+        }
+
+        pub fn free_ways(&self, line: u64) -> usize {
+            self.sets[self.set(line)].iter().filter(|w| w.is_none()).count()
+        }
+
+        pub fn iter_set(&self, set: usize) -> impl Iterator<Item = Way> + '_ {
+            self.sets[set].iter().flatten().copied()
+        }
+
+        pub fn iter(&self) -> impl Iterator<Item = Way> + '_ {
+            self.sets.iter().flatten().flatten().copied()
         }
     }
 }

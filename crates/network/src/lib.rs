@@ -32,4 +32,4 @@ pub mod mesh;
 pub mod topology;
 
 pub use mesh::{MeshNetwork, NetStats};
-pub use topology::{Direction, Topology};
+pub use topology::{Direction, Topology, XyRoute};

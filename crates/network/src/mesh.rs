@@ -1,7 +1,5 @@
 //! Timed mesh model: unicast and broadcast with link contention.
 
-use std::collections::HashMap;
-
 use lacc_model::{CoreId, Cycle};
 
 use crate::topology::Topology;
@@ -33,7 +31,9 @@ pub struct MeshNetwork {
     hop_cycles: Cycle,
     link_next_free: Vec<Cycle>,
     link_busy_cycles: Vec<u64>,
-    fifo_last: HashMap<(u16, u16), Cycle>,
+    /// Latest delivery time per `(src, dst)` pair, at `src * num_tiles +
+    /// dst`: the point-to-point FIFO clamp.
+    fifo_last: Vec<Cycle>,
     stats: NetStats,
 }
 
@@ -53,7 +53,7 @@ impl MeshNetwork {
             hop_cycles: hop_router_cycles + hop_link_cycles,
             link_next_free: vec![0; slots],
             link_busy_cycles: vec![0; slots],
-            fifo_last: HashMap::new(),
+            fifo_last: vec![0; num_tiles * num_tiles],
             stats: NetStats::default(),
         }
     }
@@ -115,8 +115,9 @@ impl MeshNetwork {
         }
         self.stats.unicasts += 1;
         let route = self.topo.xy_route(src, dst);
+        let hops = route.len();
         let mut head = now;
-        for &(router, dir) in &route {
+        for (router, dir) in route {
             let li = self.topo.link_index(router, dir);
             let depart = head.max(self.link_next_free[li]);
             self.stats.contention_cycles += depart - head;
@@ -127,8 +128,8 @@ impl MeshNetwork {
         // Head flit arrives at `head`; the tail arrives flits-1 later.
         let arrival = head + flits as Cycle - 1;
         let arrival = self.clamp_fifo(src, dst, arrival);
-        self.stats.router_flits += (flits * (route.len() + 1)) as u64;
-        self.stats.link_flits += (flits * route.len()) as u64;
+        self.stats.router_flits += (flits * (hops + 1)) as u64;
+        self.stats.link_flits += (flits * hops) as u64;
         arrival
     }
 
@@ -177,8 +178,7 @@ impl MeshNetwork {
     }
 
     fn clamp_fifo(&mut self, src: CoreId, dst: CoreId, arrival: Cycle) -> Cycle {
-        let key = (src.index() as u16, dst.index() as u16);
-        let last = self.fifo_last.entry(key).or_insert(0);
+        let last = &mut self.fifo_last[src.index() * self.topo.num_tiles() + dst.index()];
         let clamped = arrival.max(*last);
         *last = clamped;
         clamped
@@ -188,6 +188,7 @@ impl MeshNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Direction;
 
     fn t(n: usize) -> CoreId {
         CoreId::new(n)
@@ -278,6 +279,57 @@ mod tests {
         assert_eq!(s.link_flits, 2 * 2);
     }
 
+    /// The links a unicast occupies are exactly the XY route's: x first,
+    /// then y, one link per Manhattan hop — on a square, a rectangular and
+    /// a line-shaped mesh.
+    #[test]
+    fn unicast_crosses_exactly_the_xy_links() {
+        for (n, w, h) in [(64usize, 8usize, 8usize), (12, 4, 3), (7, 7, 1)] {
+            let topo = Topology::for_tiles(n);
+            assert_eq!((topo.width(), topo.height()), (w, h), "{n} tiles");
+            for s in 0..n {
+                for d in 0..n {
+                    // Reference walk over coordinates, independent of
+                    // `Topology::xy_route`.
+                    let (mut x, mut y) = (s % w, s / w);
+                    let (dx, dy) = (d % w, d / w);
+                    let mut expected = Vec::new();
+                    while x != dx {
+                        let dir = if x < dx { Direction::East } else { Direction::West };
+                        expected.push((y * w + x) * 4 + dir as usize);
+                        x = if x < dx { x + 1 } else { x - 1 };
+                    }
+                    while y != dy {
+                        let dir = if y < dy { Direction::North } else { Direction::South };
+                        expected.push((y * w + x) * 4 + dir as usize);
+                        y = if y < dy { y + 1 } else { y - 1 };
+                    }
+                    assert_eq!(expected.len(), topo.hops(t(s), t(d)));
+                    let route: Vec<usize> =
+                        topo.xy_route(t(s), t(d)).map(|(r, dir)| topo.link_index(r, dir)).collect();
+                    assert_eq!(route, expected, "route {s}->{d} on {n} tiles");
+
+                    let mut net = MeshNetwork::new(n, 1, 1);
+                    net.unicast(t(s), t(d), 3, 0);
+                    let busy: Vec<usize> = net
+                        .link_busy_cycles()
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &b)| b > 0)
+                        .map(|(i, &b)| {
+                            assert_eq!(b, 3, "each crossed link carries all 3 flits");
+                            i
+                        })
+                        .collect();
+                    let mut sorted = expected.clone();
+                    sorted.sort_unstable();
+                    assert_eq!(busy, sorted, "links of {s}->{d} on {n} tiles");
+                    assert_eq!(net.stats().link_flits, 3 * expected.len() as u64);
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least the header flit")]
     fn zero_flit_message_panics() {
@@ -319,6 +371,29 @@ mod proptests {
                 }
                 last.insert((s, d), arr);
             }
+        }
+
+        /// Per-link busy cycles account for every link flit: after any mix
+        /// of unicasts and broadcasts they sum to `NetStats::link_flits`.
+        #[test]
+        fn link_busy_cycles_sum_to_link_flits(
+            n in 1usize..40,
+            msgs in proptest::collection::vec(
+                (0usize..40, 0usize..40, 1usize..10, 0u64..50, 0u8..4), 1..60)
+        ) {
+            let mut net = MeshNetwork::new(n, 1, 1);
+            let mut msgs = msgs;
+            msgs.sort_by_key(|m| m.3);
+            for (s, d, f, now, kind) in msgs {
+                let src = CoreId::new(s % n);
+                if kind == 0 {
+                    net.broadcast(src, f, now);
+                } else {
+                    net.unicast(src, CoreId::new(d % n), f, now);
+                }
+            }
+            let busy: u64 = net.link_busy_cycles().iter().sum();
+            prop_assert_eq!(busy, net.stats().link_flits);
         }
 
         /// Broadcast arrival at each tile is at least its unicast zero-load

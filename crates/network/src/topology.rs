@@ -130,24 +130,17 @@ impl Topology {
     }
 
     /// The XY (dimension-ordered: x first, then y) route from `src` to
-    /// `dst` as a list of `(router, direction)` steps; empty when
-    /// `src == dst`.
+    /// `dst` as an allocation-free iterator of `(router, direction)` steps;
+    /// empty when `src == dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either tile index is out of range.
     #[must_use]
-    pub fn xy_route(&self, src: CoreId, dst: CoreId) -> Vec<(CoreId, Direction)> {
-        let (mut x, mut y) = self.coord(src);
+    pub fn xy_route(&self, src: CoreId, dst: CoreId) -> XyRoute {
+        let (x, y) = self.coord(src);
         let (dx, dy) = self.coord(dst);
-        let mut steps = Vec::with_capacity(self.hops(src, dst));
-        while x != dx {
-            let dir = if x < dx { Direction::East } else { Direction::West };
-            steps.push((self.tile_at(x, y).expect("on-path tile"), dir));
-            x = if x < dx { x + 1 } else { x - 1 };
-        }
-        while y != dy {
-            let dir = if y < dy { Direction::North } else { Direction::South };
-            steps.push((self.tile_at(x, y).expect("on-path tile"), dir));
-            y = if y < dy { y + 1 } else { y - 1 };
-        }
-        steps
+        XyRoute { width: self.width, x, y, dx, dy }
     }
 
     /// The XY broadcast tree rooted at `src` (§3.1): the message first
@@ -187,6 +180,50 @@ impl Topology {
     }
 }
 
+/// The steps of one XY route (see [`Topology::xy_route`]): each item is the
+/// router a flit leaves and the direction it leaves in. Walks the mesh
+/// coordinates in place, so routing a message allocates nothing.
+#[derive(Clone, Debug)]
+pub struct XyRoute {
+    width: usize,
+    x: usize,
+    y: usize,
+    dx: usize,
+    dy: usize,
+}
+
+impl Iterator for XyRoute {
+    type Item = (CoreId, Direction);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let here = CoreId::new(self.y * self.width + self.x);
+        let dir = if self.x < self.dx {
+            self.x += 1;
+            Direction::East
+        } else if self.x > self.dx {
+            self.x -= 1;
+            Direction::West
+        } else if self.y < self.dy {
+            self.y += 1;
+            Direction::North
+        } else if self.y > self.dy {
+            self.y -= 1;
+            Direction::South
+        } else {
+            return None;
+        };
+        Some((here, dir))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.x.abs_diff(self.dx) + self.y.abs_diff(self.dy);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for XyRoute {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +257,7 @@ mod tests {
         let topo = Topology::for_tiles(16); // 4x4
         let route = topo.xy_route(t(0), t(15)); // (0,0) -> (3,3)
         assert_eq!(route.len(), 6);
-        let dirs: Vec<Direction> = route.iter().map(|&(_, d)| d).collect();
+        let dirs: Vec<Direction> = route.map(|(_, d)| d).collect();
         assert_eq!(
             dirs,
             vec![
@@ -243,7 +280,7 @@ mod tests {
                 assert_eq!(route.len(), topo.hops(t(s), t(d)));
                 // Each step moves to an adjacent tile; the walk ends at d.
                 let mut cur = t(s);
-                for &(router, dir) in &route {
+                for (router, dir) in route {
                     assert_eq!(router, cur);
                     cur = topo.neighbor(cur, dir).expect("route stays on mesh");
                 }
@@ -306,13 +343,13 @@ mod proptests {
             let d = d % n;
             let topo = Topology::for_tiles(n);
             let route = topo.xy_route(CoreId::new(s), CoreId::new(d));
+            prop_assert_eq!(route.len(), topo.hops(CoreId::new(s), CoreId::new(d)));
             let mut cur = CoreId::new(s);
-            for &(router, dir) in &route {
+            for (router, dir) in route {
                 prop_assert_eq!(router, cur);
                 cur = topo.neighbor(cur, dir).expect("valid step");
             }
             prop_assert_eq!(cur, CoreId::new(d));
-            prop_assert_eq!(route.len(), topo.hops(CoreId::new(s), CoreId::new(d)));
         }
 
         #[test]
