@@ -7,7 +7,7 @@ use lacc_core::classifier::{RemovalReason, RequestHints};
 use lacc_core::home::{AccessKind, DirectoryEntry, HomeRequest};
 use lacc_core::DirectoryKind;
 use lacc_model::config::ClassifierConfig;
-use lacc_model::CoreId;
+use lacc_model::{CoreId, SystemConfig};
 use lacc_workloads::Benchmark;
 
 fn bench_directory_entry(c: &mut Criterion) {
@@ -39,6 +39,24 @@ fn bench_directory_entry(c: &mut Criterion) {
             }
             e.complete_grant(w, d.grant);
             black_box(e.sharer_response(w, 2, RemovalReason::Eviction));
+        });
+    });
+    // An L2 install on the Table-1 machine, as the engine does it: clone
+    // the simulator's blank entry, then serve the line's first read.
+    g.bench_function("install_64c", |b| {
+        let cfg = SystemConfig::isca13_64core();
+        let blank = DirectoryEntry::new(cfg.directory, &cfg.classifier, cfg.num_cores);
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % cfg.num_cores;
+            let core = CoreId::new(i);
+            let mut e = blank.clone();
+            let d = e.begin_request(
+                &HomeRequest { core, kind: AccessKind::Read, hints, instruction: false },
+                1,
+            );
+            e.complete_grant(core, d.grant);
+            black_box(e)
         });
     });
     g.finish();

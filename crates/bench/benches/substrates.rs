@@ -36,9 +36,10 @@ fn bench_cache(c: &mut Criterion) {
         });
     });
     // The Table-1 L2 at full size: 64 slices of 512 sets x 8 ways, each
-    // way holding a payload the size of the engine's `L2Line` (280 bytes),
-    // so the ≈75 MB array cannot sit in the host caches and the tag
-    // store's layout shows. A pseudo-random line stream over twice the
+    // way holding a 280-byte payload (the engine's `L2Line` before its
+    // directory entry was compacted to fit 96 bytes; kept so the series
+    // stays comparable), so the ≈75 MB array cannot sit in the host
+    // caches and the tag store's layout shows. A pseudo-random line stream over twice the
     // capacity mixes hits (`get_mut`) with misses (`insert` + eviction).
     g.bench_function("l2_slices_64tiles", |b| {
         const SLICES: usize = 64;

@@ -24,6 +24,8 @@
 //! the ideal Timestamp mechanism (§3.2) and the current RAT level under the
 //! cost-efficient approximation (§3.3).
 
+use std::sync::Arc;
+
 use lacc_model::config::{ClassifierConfig, MechanismKind, TrackingKind};
 use lacc_model::{CoreId, Cycle};
 
@@ -150,20 +152,63 @@ impl CoreInfo {
     }
 }
 
+/// Limited_k lists up to this length live inline in the entry: Table 1's
+/// k = 3 and Figure 13's k = 1 and 3 never touch the heap.
+const INLINE_K: usize = 4;
+
+const UNUSED_SLOT: CoreInfo = CoreInfo { core: 0, flags: 0, remote_util: 0, rat_level: 0 };
+
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Storage {
     /// Locality info for every core, indexed by core id (§3.2, Figure 6).
     Complete(Vec<CoreInfo>),
-    /// Locality info for at most `k` cores (§3.4, Figure 7).
+    /// Locality info for at most `k <= INLINE_K` cores (§3.4, Figure 7),
+    /// in list order; slots from `len` on are unused.
+    Inline { len: u8, infos: [CoreInfo; INLINE_K] },
+    /// Locality info for at most `k > INLINE_K` cores, in list order.
     Limited(Vec<CoreInfo>),
+}
+
+impl Storage {
+    fn infos(&self) -> &[CoreInfo] {
+        match self {
+            Storage::Complete(v) | Storage::Limited(v) => v,
+            Storage::Inline { len, infos } => &infos[..usize::from(*len)],
+        }
+    }
+
+    fn infos_mut(&mut self) -> &mut [CoreInfo] {
+        match self {
+            Storage::Complete(v) | Storage::Limited(v) => v,
+            Storage::Inline { len, infos } => &mut infos[..usize::from(*len)],
+        }
+    }
+
+    /// Appends to a Limited_k list that has room; returns the new record.
+    fn push(&mut self, info: CoreInfo) -> &mut CoreInfo {
+        match self {
+            Storage::Complete(_) => unreachable!("complete storage never grows"),
+            Storage::Limited(v) => {
+                v.push(info);
+                v.last_mut().expect("just pushed")
+            }
+            Storage::Inline { len, infos } => {
+                let slot = &mut infos[usize::from(*len)];
+                *len += 1;
+                *slot = info;
+                slot
+            }
+        }
+    }
 }
 
 /// Upper bound on `nRATlevels` (the paper evaluates up to 8, Figure 12).
 pub const MAX_RAT_LEVELS: usize = 8;
 
-/// The per-directory-entry locality classifier.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LocalityClassifier {
+/// The run-wide classifier configuration, resolved once and shared by
+/// every directory entry: PCT, the RAT ladder and the protocol flags.
+#[derive(PartialEq, Eq, Debug)]
+struct ClassifierParams {
     pct: u32,
     one_way: bool,
     shortcut: bool,
@@ -174,49 +219,68 @@ pub struct LocalityClassifier {
     ladder_len: usize,
     util_cap: u8,
     limit: Option<usize>,
+}
+
+impl ClassifierParams {
+    fn new(cfg: &ClassifierConfig) -> Self {
+        assert!(cfg.pct >= 1, "pct must be at least 1");
+        let ladder_vec = cfg.mechanism.rat_ladder(cfg.pct);
+        assert!(ladder_vec.len() <= MAX_RAT_LEVELS, "nRATlevels beyond {MAX_RAT_LEVELS}");
+        let mut ladder = [0u32; MAX_RAT_LEVELS];
+        ladder[..ladder_vec.len()].copy_from_slice(&ladder_vec);
+        let util_cap = (*ladder_vec.last().unwrap()).max(cfg.pct).min(255) as u8;
+        let limit = match cfg.tracking {
+            TrackingKind::Complete => None,
+            TrackingKind::Limited { k } => {
+                assert!(k >= 1, "Limited_k needs k >= 1");
+                Some(k)
+            }
+        };
+        ClassifierParams {
+            pct: cfg.pct,
+            one_way: cfg.one_way,
+            shortcut: cfg.shortcut,
+            timestamp_mech: matches!(cfg.mechanism, MechanismKind::Timestamp),
+            ladder,
+            ladder_len: ladder_vec.len(),
+            util_cap,
+            limit,
+        }
+    }
+
+    fn empty_storage(&self, num_cores: usize) -> Storage {
+        match self.limit {
+            None => Storage::Complete(
+                (0..num_cores)
+                    .map(|i| CoreInfo::fresh(CoreId::new(i), SharerMode::Private))
+                    .collect(),
+            ),
+            Some(k) if k <= INLINE_K => Storage::Inline { len: 0, infos: [UNUSED_SLOT; INLINE_K] },
+            Some(k) => Storage::Limited(Vec::with_capacity(k)),
+        }
+    }
+}
+
+/// The per-directory-entry locality classifier: the line's per-core
+/// records, plus a handle on the run-wide parameters they share.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct LocalityClassifier {
+    params: Arc<ClassifierParams>,
     storage: Storage,
 }
 
 impl LocalityClassifier {
-    /// Creates the classifier for one directory entry.
+    /// Creates the classifier for one directory entry. Entries made by
+    /// cloning it share its parameters.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (zero PCT, `k` of zero).
     #[must_use]
     pub fn new(cfg: &ClassifierConfig, num_cores: usize) -> Self {
-        assert!(cfg.pct >= 1, "pct must be at least 1");
-        let ladder_vec = cfg.mechanism.rat_ladder(cfg.pct);
-        assert!(ladder_vec.len() <= MAX_RAT_LEVELS, "nRATlevels beyond {MAX_RAT_LEVELS}");
-        let mut ladder = [0u32; MAX_RAT_LEVELS];
-        ladder[..ladder_vec.len()].copy_from_slice(&ladder_vec);
-        let ladder_len = ladder_vec.len();
-        let util_cap = (*ladder_vec.last().unwrap()).max(cfg.pct).min(255) as u8;
-        let (limit, storage) = match cfg.tracking {
-            TrackingKind::Complete => (
-                None,
-                Storage::Complete(
-                    (0..num_cores)
-                        .map(|i| CoreInfo::fresh(CoreId::new(i), SharerMode::Private))
-                        .collect(),
-                ),
-            ),
-            TrackingKind::Limited { k } => {
-                assert!(k >= 1, "Limited_k needs k >= 1");
-                (Some(k), Storage::Limited(Vec::with_capacity(k)))
-            }
-        };
-        LocalityClassifier {
-            pct: cfg.pct,
-            one_way: cfg.one_way,
-            shortcut: cfg.shortcut,
-            timestamp_mech: matches!(cfg.mechanism, MechanismKind::Timestamp),
-            ladder,
-            ladder_len,
-            util_cap,
-            limit,
-            storage,
-        }
+        let params = ClassifierParams::new(cfg);
+        let storage = params.empty_storage(num_cores);
+        LocalityClassifier { params: Arc::new(params), storage }
     }
 
     /// The mode this entry would use for `core` right now, without updating
@@ -225,20 +289,18 @@ impl LocalityClassifier {
     pub fn mode_of(&self, core: CoreId) -> SharerMode {
         match &self.storage {
             Storage::Complete(v) => v[core.index()].mode(),
-            Storage::Limited(v) => v
+            list => list
+                .infos()
                 .iter()
                 .find(|i| i.core as usize == core.index())
-                .map_or_else(|| self.majority_vote(), |i| i.mode()),
+                .map_or_else(|| self.majority_vote(), CoreInfo::mode),
         }
     }
 
     /// Number of cores currently tracked (for tests and storage reports).
     #[must_use]
     pub fn tracked_count(&self) -> usize {
-        match &self.storage {
-            Storage::Complete(v) => v.len(),
-            Storage::Limited(v) => v.len(),
-        }
+        self.storage.infos().len()
     }
 
     /// Appends a canonical encoding of the classifier's mutable state to
@@ -263,7 +325,8 @@ impl LocalityClassifier {
                 entries.sort_unstable();
                 out.extend(entries);
             }
-            Storage::Limited(v) => {
+            list => {
+                let v = list.infos();
                 out.push(v.len() as u64);
                 out.extend(v.iter().map(|i| encode_info(i, map)));
             }
@@ -283,14 +346,9 @@ impl LocalityClassifier {
         hints: RequestHints,
         line_last_access: Cycle,
     ) -> ClassifyOutcome {
-        let pct = self.pct;
-        let one_way = self.one_way;
-        let timestamp_mech = self.timestamp_mech;
-        let util_cap = self.util_cap;
-        let ladder = self.ladder;
-        let ladder_len = self.ladder_len;
-        let default_mode = self.majority_or_initial(core);
-        let (info, tracked) = match self.lookup_or_allocate(core, default_mode) {
+        let default_mode = self.majority_or_initial();
+        let p = &*self.params;
+        let (info, tracked) = match lookup_or_allocate(p, &mut self.storage, core, default_mode) {
             Some(info) => (info, true),
             None => {
                 // Limited_k list full of active sharers: classify by
@@ -305,7 +363,7 @@ impl LocalityClassifier {
         }
 
         // Remote sharer: update the remote utilization counter.
-        if timestamp_mech {
+        if p.timestamp_mech {
             // Timestamp check (§3.2): count the access only if the line at
             // the L2 is more recent than the coldest line of the
             // requester's L1 set (trivially true with an invalid way).
@@ -316,20 +374,20 @@ impl LocalityClassifier {
                 info.remote_util = 1;
             }
         } else {
-            info.remote_util = info.remote_util.saturating_add(1).min(util_cap);
+            info.remote_util = info.remote_util.saturating_add(1).min(p.util_cap);
         }
 
         // Promotion threshold: PCT under Timestamp; the RAT ladder under
         // the approximation, with the §3.3 shortcut that an invalid way in
         // the requester's set lowers the bar back to PCT (promotion cannot
         // pollute the cache).
-        let threshold = if timestamp_mech || hints.set_has_invalid {
-            pct
+        let threshold = if p.timestamp_mech || hints.set_has_invalid {
+            p.pct
         } else {
-            ladder[(info.rat_level as usize).min(ladder_len - 1)]
+            p.ladder[(info.rat_level as usize).min(p.ladder_len - 1)]
         };
 
-        if info.remote_util as u32 >= threshold && !(one_way && info.sticky_remote()) {
+        if info.remote_util as u32 >= threshold && !(p.one_way && info.sticky_remote()) {
             info.set_mode(SharerMode::Private);
             info.set_active(true);
             ClassifyOutcome { mode: SharerMode::Private, promoted: true, tracked }
@@ -344,11 +402,7 @@ impl LocalityClassifier {
     /// and those sharers become inactive (§3.2, §3.4 — "a remote sharer
     /// becomes inactive on a write by another core").
     pub fn on_write(&mut self, writer: CoreId) {
-        let infos: &mut [CoreInfo] = match &mut self.storage {
-            Storage::Complete(v) => v,
-            Storage::Limited(v) => v,
-        };
-        for info in infos.iter_mut() {
+        for info in self.storage.infos_mut() {
             if info.core as usize != writer.index() && info.mode() == SharerMode::Remote {
                 info.remote_util = 0;
                 info.set_active(false);
@@ -366,19 +420,17 @@ impl LocalityClassifier {
         private_util: u32,
         reason: RemovalReason,
     ) -> SharerMode {
-        let one_way = self.one_way;
-        let pct = self.pct;
-        let max_level = (self.ladder.len() - 1) as u8;
-        let default_mode = self.majority_or_initial(core);
-        let Some(info) = self.lookup_or_allocate(core, default_mode) else {
+        let default_mode = self.majority_or_initial();
+        let p = &*self.params;
+        let Some(info) = lookup_or_allocate(p, &mut self.storage, core, default_mode) else {
             // Untracked and unallocatable: the classification cannot be
             // stored. Compute it against a zero remote counter anyway so
             // the caller can at least report it.
-            return if private_util >= pct { SharerMode::Private } else { SharerMode::Remote };
+            return if private_util >= p.pct { SharerMode::Private } else { SharerMode::Remote };
         };
 
         let total = private_util + info.remote_util as u32;
-        let new_mode = if total >= pct && !(one_way && info.sticky_remote()) {
+        let new_mode = if total >= p.pct && !(p.one_way && info.sticky_remote()) {
             SharerMode::Private
         } else {
             SharerMode::Remote
@@ -392,11 +444,13 @@ impl LocalityClassifier {
             }
             SharerMode::Remote => {
                 if reason == RemovalReason::Eviction {
-                    // Eviction signals set pressure: harder to re-promote.
-                    info.rat_level = (info.rat_level + 1).min(max_level);
+                    // Eviction signals set pressure: harder to re-promote,
+                    // up to the last rung of the ladder.
+                    let top = (p.ladder_len - 1) as u8;
+                    info.rat_level = (info.rat_level + 1).min(top);
                 }
                 info.set_mode(SharerMode::Remote);
-                if one_way {
+                if p.one_way {
                     info.flags |= FLAG_STICKY_REMOTE;
                 }
             }
@@ -410,10 +464,7 @@ impl LocalityClassifier {
     /// Majority vote over tracked modes; ties and an empty list report
     /// `Private`, the §3.2 initial mode.
     fn majority_vote(&self) -> SharerMode {
-        let infos: &[CoreInfo] = match &self.storage {
-            Storage::Complete(v) => v,
-            Storage::Limited(v) => v,
-        };
+        let infos = self.storage.infos();
         let private = infos.iter().filter(|i| i.mode() == SharerMode::Private).count();
         if 2 * private >= infos.len() {
             SharerMode::Private
@@ -425,71 +476,61 @@ impl LocalityClassifier {
     /// Initial mode for a core that is about to be (re)allocated: majority
     /// vote when inferring from existing sharers (§3.4), or the §3.2
     /// Private default when the list is empty / tracking is complete.
-    fn majority_or_initial(&self, _core: CoreId) -> SharerMode {
+    fn majority_or_initial(&self) -> SharerMode {
         match &self.storage {
             Storage::Complete(_) => SharerMode::Private, // always tracked
-            Storage::Limited(v) if v.is_empty() => SharerMode::Private,
-            Storage::Limited(_) => self.majority_vote(),
+            _ => self.majority_vote(),
         }
     }
+}
 
-    /// Finds the record for `core`, allocating (or replacing an inactive
-    /// sharer) in Limited_k mode. Returns `None` when the list is full of
-    /// active sharers.
-    fn lookup_or_allocate(&mut self, core: CoreId, init_mode: SharerMode) -> Option<&mut CoreInfo> {
-        let one_way = self.one_way;
-        let shortcut = self.shortcut;
-        match &mut self.storage {
-            Storage::Complete(v) => {
-                // §5.3's suggested extension: "the Complete locality
-                // classifier can also be equipped with such a learning
-                // short-cut" — a core's first classification is inferred
-                // from the cores that have already demonstrated a mode.
-                if shortcut && !v[core.index()].touched() {
-                    let touched: Vec<&CoreInfo> = v.iter().filter(|i| i.touched()).collect();
-                    let private =
-                        touched.iter().filter(|i| i.mode() == SharerMode::Private).count();
-                    let mode = if 2 * private >= touched.len() {
-                        SharerMode::Private
-                    } else {
-                        SharerMode::Remote
-                    };
-                    let info = &mut v[core.index()];
-                    info.set_mode(mode);
-                    if one_way && mode == SharerMode::Remote {
-                        info.flags |= FLAG_STICKY_REMOTE;
-                    }
-                }
-                let info = &mut v[core.index()];
-                info.flags |= FLAG_TOUCHED;
-                Some(info)
-            }
-            Storage::Limited(v) => {
-                if let Some(pos) = v.iter().position(|i| i.core as usize == core.index()) {
-                    return Some(&mut v[pos]);
-                }
-                let k = self.limit.expect("limited storage has a limit");
-                if v.len() < k {
-                    // Free entry: "it allocates the entry to the core and
-                    // the actions described in Section 3.2 are carried out"
-                    // — i.e. the §3.2 initial mode, Private. (This is what
-                    // makes Limited_64 identical to Complete, per the
-                    // caption of Figure 13.)
-                    v.push(CoreInfo::fresh(core, SharerMode::Private));
-                    let pos = v.len() - 1;
-                    return Some(&mut v[pos]);
-                }
-                // Replace an inactive sharer if one exists (§3.4): an ideal
-                // candidate "is a core that is currently not using the
-                // cache line".
-                if let Some(pos) = v.iter().position(|i| !i.active()) {
-                    v[pos] = CoreInfo::fresh_one_way(core, init_mode, one_way);
-                    return Some(&mut v[pos]);
-                }
-                None
+/// Finds the record for `core`, allocating (or replacing an inactive
+/// sharer) in Limited_k mode. Returns `None` when the list is full of
+/// active sharers.
+fn lookup_or_allocate<'s>(
+    p: &ClassifierParams,
+    storage: &'s mut Storage,
+    core: CoreId,
+    init_mode: SharerMode,
+) -> Option<&'s mut CoreInfo> {
+    if let Storage::Complete(v) = storage {
+        // §5.3's suggested extension: "the Complete locality classifier can
+        // also be equipped with such a learning short-cut" — a core's first
+        // classification is inferred from the cores that have already
+        // demonstrated a mode.
+        if p.shortcut && !v[core.index()].touched() {
+            let touched: Vec<&CoreInfo> = v.iter().filter(|i| i.touched()).collect();
+            let private = touched.iter().filter(|i| i.mode() == SharerMode::Private).count();
+            let mode =
+                if 2 * private >= touched.len() { SharerMode::Private } else { SharerMode::Remote };
+            let info = &mut v[core.index()];
+            info.set_mode(mode);
+            if p.one_way && mode == SharerMode::Remote {
+                info.flags |= FLAG_STICKY_REMOTE;
             }
         }
+        let info = &mut v[core.index()];
+        info.flags |= FLAG_TOUCHED;
+        return Some(info);
     }
+    let k = p.limit.expect("limited storage has a limit");
+    let infos = storage.infos();
+    if let Some(pos) = infos.iter().position(|i| i.core as usize == core.index()) {
+        return Some(&mut storage.infos_mut()[pos]);
+    }
+    if infos.len() < k {
+        // Free entry: "it allocates the entry to the core and the actions
+        // described in Section 3.2 are carried out" — i.e. the §3.2
+        // initial mode, Private. (This is what makes Limited_64 identical
+        // to Complete, per the caption of Figure 13.)
+        return Some(storage.push(CoreInfo::fresh(core, SharerMode::Private)));
+    }
+    // Replace an inactive sharer if one exists (§3.4): an ideal candidate
+    // "is a core that is currently not using the cache line".
+    let pos = infos.iter().position(|i| !i.active())?;
+    let slot = &mut storage.infos_mut()[pos];
+    *slot = CoreInfo::fresh_one_way(core, init_mode, p.one_way);
+    Some(slot)
 }
 
 #[cfg(test)]
@@ -559,6 +600,21 @@ mod tests {
         let out = cl.classify_request(c(0), PRESSURE, 0);
         assert_eq!(out.mode, SharerMode::Private);
         assert!(out.promoted);
+    }
+
+    #[test]
+    fn repeated_eviction_demotions_stop_at_the_top_rung() {
+        // Table 1's 2-level ladder: levels 0 and 1 only. Extra demotions
+        // must not push the stored level past the ladder, or states that
+        // behave identically fingerprint as distinct ones.
+        let mut cl = LocalityClassifier::new(&limited_cfg(3), 8);
+        for _ in 0..10 {
+            cl.on_sharer_removed(c(0), 1, RemovalReason::Eviction);
+        }
+        let mut out = Vec::new();
+        cl.encode_state(&mut out, &mut |core| core);
+        assert_eq!(out.len(), 2, "one tracked core: {out:?}");
+        assert_eq!(out[1] & 0xff, 1, "rat_level clamps to ladder_len - 1");
     }
 
     #[test]

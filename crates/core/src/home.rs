@@ -105,6 +105,12 @@ pub struct HomeDecision {
 
 /// Directory entry: MESI summary + sharer tracker + locality classifier +
 /// the line's L2 last-access time (used by the Timestamp check).
+///
+/// The entry holds per-line state only; the run-wide classifier
+/// parameters are shared by every entry cloned from the same original.
+/// Cloning a blank entry is therefore the cheap way to make the next one
+/// (the simulator does so at each L2 install), and on machines of up to
+/// 64 cores with Limited_k, k ≤ 4, the clone allocates nothing.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DirectoryEntry {
     /// Coherence state summary of the L1 copies.
@@ -118,7 +124,8 @@ pub struct DirectoryEntry {
 }
 
 impl DirectoryEntry {
-    /// Creates the entry for a line just installed in an L2 slice.
+    /// Creates the entry for a line just installed in an L2 slice,
+    /// resolving the classifier parameters that its clones share.
     #[must_use]
     pub fn new(dir: DirectoryKind, classifier: &ClassifierConfig, num_cores: usize) -> Self {
         DirectoryEntry {
@@ -209,11 +216,7 @@ impl DirectoryEntry {
         if !removed {
             return None;
         }
-        let mode = if self.is_instruction_entry() {
-            SharerMode::Private
-        } else {
-            self.classifier.on_sharer_removed(core, private_util, reason)
-        };
+        let mode = self.classifier.on_sharer_removed(core, private_util, reason);
         if self.state.owner() == Some(core) || self.sharers.is_empty() {
             self.state =
                 if self.sharers.is_empty() { DirState::Uncached } else { DirState::Shared };
@@ -274,13 +277,6 @@ impl DirectoryEntry {
     #[must_use]
     pub fn back_invalidation_plan(&self) -> Option<InvalidationPlan> {
         self.sharers.invalidation_plan(None)
-    }
-
-    fn is_instruction_entry(&self) -> bool {
-        // Instruction entries never consult the classifier; the simulator
-        // routes them by region class, so the entry itself does not need to
-        // distinguish — data entries always classify. Kept as a hook.
-        false
     }
 }
 

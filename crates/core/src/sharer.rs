@@ -6,9 +6,14 @@
 //! acknowledgements are expected "from only the actual sharers of the
 //! data", which is exactly the count the directory kept.
 //!
-//! Sharer identities are stored as [`CoreSet`] bitmaps — fixed-width,
-//! allocation-free, O(1) membership — rather than heap vectors; unicast
-//! invalidation rounds therefore visit sharers in ascending core order.
+//! Both kinds share one compact representation: an exact sharer bitmap
+//! (one inline `u64` on machines of up to 64 cores) plus an overflow count
+//! that is non-zero only after ACKwise has dropped the identities. The
+//! full map is ACKwise with a pointer budget no machine reaches. Plans hand
+//! out a [`CoreSet`], so unicast invalidation rounds visit sharers in
+//! ascending core order.
+
+use std::fmt;
 
 use lacc_model::{CoreId, CoreSet};
 
@@ -41,55 +46,132 @@ impl InvalidationPlan {
     }
 }
 
-/// Internal ACKwise representation: exact pointers until overflow, then a
-/// bare count (identities dropped, §3.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AckWiseState {
-    /// Exact sharer pointers (count <= p).
-    Exact(CoreSet),
-    /// Sharer count only, after pointer overflow.
-    CountOnly(usize),
+/// Exact sharer identities: one `u64` word on machines of up to 64 cores
+/// (every Table-1 configuration), a boxed [`CoreSet`] above that so the
+/// per-line entry stays small at every width.
+#[derive(Clone, PartialEq, Eq)]
+enum ExactSet {
+    Narrow(u64),
+    Wide(Box<CoreSet>),
 }
 
-/// Sharer-set representation for one directory entry.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SharerTracker {
-    /// One presence bit per core.
-    FullMap {
-        /// Presence bitmap with cached population count.
-        set: CoreSet,
-    },
-    /// ACKwise_p limited pointers.
-    AckWise {
-        /// Pointer budget `p`.
-        pointers: usize,
-        /// Exact pointers, or just a count after overflow.
-        state: AckWiseState,
-    },
+impl ExactSet {
+    fn new(num_cores: usize) -> Self {
+        if num_cores <= 64 {
+            ExactSet::Narrow(0)
+        } else {
+            ExactSet::Wide(Box::default())
+        }
+    }
+
+    fn narrow_bit(core: CoreId) -> u64 {
+        let i = core.index();
+        assert!(i < 64, "core index {i} exceeds a 64-core sharer map");
+        1 << i
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            ExactSet::Narrow(w) => w.count_ones() as usize,
+            ExactSet::Wide(s) => s.len(),
+        }
+    }
+
+    fn contains(&self, core: CoreId) -> bool {
+        match self {
+            ExactSet::Narrow(w) => w & Self::narrow_bit(core) != 0,
+            ExactSet::Wide(s) => s.contains(core),
+        }
+    }
+
+    fn insert(&mut self, core: CoreId) {
+        match self {
+            ExactSet::Narrow(w) => *w |= Self::narrow_bit(core),
+            ExactSet::Wide(s) => {
+                s.insert(core);
+            }
+        }
+    }
+
+    fn remove(&mut self, core: CoreId) -> bool {
+        match self {
+            ExactSet::Narrow(w) => {
+                let bit = Self::narrow_bit(core);
+                let present = *w & bit != 0;
+                *w &= !bit;
+                present
+            }
+            ExactSet::Wide(s) => s.remove(core),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            ExactSet::Narrow(w) => *w = 0,
+            ExactSet::Wide(s) => s.clear(),
+        }
+    }
+
+    fn to_core_set(&self) -> CoreSet {
+        match self {
+            ExactSet::Narrow(w) => {
+                let mut set = CoreSet::new();
+                let mut rest = *w;
+                while rest != 0 {
+                    set.insert(CoreId::new(rest.trailing_zeros() as usize));
+                    rest &= rest - 1;
+                }
+                set
+            }
+            ExactSet::Wide(s) => **s,
+        }
+    }
+}
+
+/// Pointer budget standing for the full map: no machine has this many
+/// cores, so a full-map tracker never overflows.
+const FULL_MAP: u16 = u16::MAX;
+
+/// Sharer-set representation for one directory entry: full-map or
+/// ACKwise_p, both as an exact set plus an overflow count.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SharerTracker {
+    /// Sharer identities while known; empty after ACKwise overflow.
+    exact: ExactSet,
+    /// Sharer count after ACKwise overflow (identities dropped, §3.1);
+    /// 0 while `exact` is authoritative.
+    overflow: u16,
+    /// ACKwise pointer budget `p`, or [`FULL_MAP`].
+    pointers: u16,
 }
 
 impl SharerTracker {
-    /// Creates an empty tracker of the configured kind.
+    /// Creates an empty tracker of the configured kind for a machine of
+    /// `num_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an ACKwise pointer budget does not fit below `u16::MAX`.
     #[must_use]
-    pub fn new(kind: DirectoryKind, _num_cores: usize) -> Self {
-        match kind {
-            DirectoryKind::FullMap => SharerTracker::FullMap { set: CoreSet::new() },
-            DirectoryKind::AckWise { pointers } => {
-                SharerTracker::AckWise { pointers, state: AckWiseState::Exact(CoreSet::new()) }
-            }
-        }
+    pub fn new(kind: DirectoryKind, num_cores: usize) -> Self {
+        let pointers = match kind {
+            DirectoryKind::FullMap => FULL_MAP,
+            DirectoryKind::AckWise { pointers } => u16::try_from(pointers)
+                .ok()
+                .filter(|&p| p < FULL_MAP)
+                .expect("ACKwise pointer budget must be below u16::MAX"),
+        };
+        SharerTracker { exact: ExactSet::new(num_cores), overflow: 0, pointers }
     }
 
     /// Number of sharers (exact in all representations — ACKwise always
     /// knows the count, just not always the identities).
     #[must_use]
     pub fn count(&self) -> usize {
-        match self {
-            SharerTracker::FullMap { set } => set.len(),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => s.len(),
-                AckWiseState::CountOnly(n) => *n,
-            },
+        if self.overflow > 0 {
+            usize::from(self.overflow)
+        } else {
+            self.exact.len()
         }
     }
 
@@ -103,13 +185,7 @@ impl SharerTracker {
     /// knows, `None` after ACKwise overflow (identities dropped).
     #[must_use]
     pub fn contains(&self, core: CoreId) -> Option<bool> {
-        match self {
-            SharerTracker::FullMap { set } => Some(set.contains(core)),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => Some(s.contains(core)),
-                AckWiseState::CountOnly(_) => None,
-            },
-        }
+        (self.overflow == 0).then(|| self.exact.contains(core))
     }
 
     /// Records that `core` received a private copy.
@@ -119,23 +195,17 @@ impl SharerTracker {
     /// must only add genuinely new sharers (the protocol guarantees this:
     /// a core with a valid copy never re-requests the line).
     pub fn add(&mut self, core: CoreId) {
-        match self {
-            SharerTracker::FullMap { set } => {
-                set.insert(core);
+        if self.overflow > 0 {
+            self.overflow += 1;
+        } else if !self.exact.contains(core) {
+            let len = self.exact.len();
+            if len == usize::from(self.pointers) {
+                // Overflow: drop identities, keep the count.
+                self.exact.clear();
+                self.overflow = self.pointers + 1;
+            } else {
+                self.exact.insert(core);
             }
-            SharerTracker::AckWise { pointers, state } => match state {
-                AckWiseState::Exact(s) => {
-                    if !s.contains(core) {
-                        if s.len() == *pointers {
-                            // Overflow: drop identities, keep the count.
-                            *state = AckWiseState::CountOnly(s.len() + 1);
-                        } else {
-                            s.insert(core);
-                        }
-                    }
-                }
-                AckWiseState::CountOnly(n) => *n += 1,
-            },
         }
     }
 
@@ -146,40 +216,24 @@ impl SharerTracker {
     /// decrements the count; when it reaches zero the tracker returns to
     /// exact (empty) mode.
     pub fn remove(&mut self, core: CoreId) -> bool {
-        match self {
-            SharerTracker::FullMap { set } => set.remove(core),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => s.remove(core),
-                AckWiseState::CountOnly(n) => {
-                    debug_assert!(*n > 0, "removing sharer from empty overflow set");
-                    *n = n.saturating_sub(1);
-                    if *n == 0 {
-                        *state = AckWiseState::Exact(CoreSet::new());
-                    }
-                    true
-                }
-            },
+        if self.overflow > 0 {
+            self.overflow -= 1;
+            true
+        } else {
+            self.exact.remove(core)
         }
     }
 
     /// Clears all sharers (after an invalidation round completes).
     pub fn clear(&mut self) {
-        match self {
-            SharerTracker::FullMap { set } => set.clear(),
-            SharerTracker::AckWise { state, .. } => *state = AckWiseState::Exact(CoreSet::new()),
-        }
+        self.exact.clear();
+        self.overflow = 0;
     }
 
     /// Sharer identities, when known exactly.
     #[must_use]
     pub fn known_sharers(&self) -> Option<CoreSet> {
-        match self {
-            SharerTracker::FullMap { set } => Some(*set),
-            SharerTracker::AckWise { state, .. } => match state {
-                AckWiseState::Exact(s) => Some(*s),
-                AckWiseState::CountOnly(_) => None,
-            },
-        }
+        (self.overflow == 0).then(|| self.exact.to_core_set())
     }
 
     /// How to invalidate every sharer except `skip` (the requester itself
@@ -202,12 +256,26 @@ impl SharerTracker {
                 // a sharer (upgrade), it must not be awaited — but under
                 // overflow the directory cannot know, so the paper's
                 // protocol invalidates the requester's copy too and the
-                // requester simply re-obtains the line with the grant; the
-                // caller adjusts `expected_acks` via `skip_is_sharer`.
-                let n = self.count();
-                (n > 0).then_some(InvalidationPlan::Broadcast { expected_acks: n })
+                // requester simply re-obtains the line with the grant.
+                Some(InvalidationPlan::Broadcast { expected_acks: self.count() })
             }
         }
+    }
+}
+
+impl fmt::Debug for SharerTracker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("SharerTracker");
+        if self.pointers == FULL_MAP {
+            d.field("kind", &"full-map");
+        } else {
+            d.field("pointers", &self.pointers);
+        }
+        match self.known_sharers() {
+            Some(set) => d.field("sharers", &set),
+            None => d.field("overflow_count", &self.overflow),
+        };
+        d.finish()
     }
 }
 
@@ -300,51 +368,100 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// Machine widths: both sides of the 64-core bitmap boundary, with
+    /// the boundary itself forced in.
+    fn arb_width() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(63usize), Just(64), Just(65), 1usize..=64, 65usize..=1024]
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<(usize, bool)>> {
+        proptest::collection::vec((0usize..1024, proptest::bool::ANY), 1..200)
+    }
+
+    /// Drives a tracker with protocol-legal adds and removes (after
+    /// overflow only genuinely new sharers are added and only real
+    /// sharers removed) and checks every query against a `BTreeSet` of
+    /// the true sharers plus an overflow flag: the budget `p` (`None` for
+    /// the full map) is exceeded once, and identities return only when
+    /// the count reaches zero.
+    fn check_against_model(
+        kind: DirectoryKind,
+        p: Option<usize>,
+        width: usize,
+        ops: &[(usize, bool)],
+        skip_seed: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut t = SharerTracker::new(kind, width);
+        let mut truth: BTreeSet<usize> = BTreeSet::new();
+        let mut overflowed = false;
+        for (step, &(raw, add)) in ops.iter().enumerate() {
+            let core = raw % width;
+            let id = CoreId::new(core);
+            let member = truth.contains(&core);
+            if add {
+                if overflowed && member {
+                    continue;
+                }
+                t.add(id);
+                truth.insert(core);
+                overflowed |= p.is_some_and(|p| truth.len() > p);
+            } else {
+                if overflowed && !member {
+                    continue;
+                }
+                prop_assert_eq!(t.remove(id), member);
+                truth.remove(&core);
+                overflowed &= !truth.is_empty();
+            }
+            prop_assert_eq!(t.count(), truth.len());
+            prop_assert_eq!(t.is_empty(), truth.is_empty());
+            for probe in [core, (core + 1) % width, (core + width - 1) % width] {
+                let want = (!overflowed).then(|| truth.contains(&probe));
+                prop_assert_eq!(t.contains(CoreId::new(probe)), want);
+            }
+            let known = t.known_sharers().map(|s| s.iter().map(|c| c.index()).collect::<Vec<_>>());
+            let want = (!overflowed).then(|| truth.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(known, want);
+            let skip = (step + skip_seed) % (width + 1);
+            let skip = (skip < width).then(|| CoreId::new(skip));
+            let plan = if overflowed {
+                Some(InvalidationPlan::Broadcast { expected_acks: truth.len() })
+            } else {
+                let rest: CoreSet =
+                    truth.iter().map(|&c| CoreId::new(c)).filter(|&c| Some(c) != skip).collect();
+                (!rest.is_empty()).then_some(InvalidationPlan::Unicast(rest))
+            };
+            prop_assert_eq!(t.invalidation_plan(skip), plan);
+        }
+        Ok(())
+    }
 
     proptest! {
-        /// ACKwise always reports the exact sharer count, matching a
-        /// reference set, no matter how adds and removes interleave — the
-        /// property that makes broadcast-ack collection terminate.
+        /// The full map tracks identities exactly at every width.
         #[test]
-        fn ackwise_count_is_exact(
-            ops in proptest::collection::vec((0usize..16, proptest::bool::ANY), 1..100),
-            p in 1usize..6,
+        fn full_map_matches_reference_model(
+            width in arb_width(),
+            ops in arb_ops(),
+            skip_seed in 0usize..1025,
         ) {
-            let mut t = SharerTracker::new(DirectoryKind::AckWise { pointers: p }, 16);
-            let mut model = std::collections::BTreeSet::new();
-            for (core, add) in ops {
-                if add {
-                    if !model.contains(&core) {
-                        model.insert(core);
-                        t.add(CoreId::new(core));
-                    }
-                } else if model.remove(&core) {
-                    t.remove(CoreId::new(core));
-                }
-                prop_assert_eq!(t.count(), model.len());
-            }
+            check_against_model(DirectoryKind::FullMap, None, width, &ops, skip_seed)?;
         }
 
-        /// Full map tracks identities exactly.
+        /// ACKwise_p keeps exact pointers up to `p` sharers and always
+        /// reports the exact count — the property that makes broadcast-ack
+        /// collection terminate — no matter how adds and removes
+        /// interleave.
         #[test]
-        fn full_map_matches_set(
-            ops in proptest::collection::vec((0usize..80, proptest::bool::ANY), 1..100)
+        fn ackwise_matches_reference_model(
+            width in arb_width(),
+            ops in arb_ops(),
+            skip_seed in 0usize..1025,
+            p in 1usize..=6,
         ) {
-            let mut t = SharerTracker::new(DirectoryKind::FullMap, 80);
-            let mut model = std::collections::BTreeSet::new();
-            for (core, add) in ops {
-                if add {
-                    model.insert(core);
-                    t.add(CoreId::new(core));
-                } else {
-                    model.remove(&core);
-                    t.remove(CoreId::new(core));
-                }
-            }
-            let known: Vec<usize> =
-                t.known_sharers().unwrap().iter().map(|c| c.index()).collect();
-            let expect: Vec<usize> = model.into_iter().collect();
-            prop_assert_eq!(known, expect);
+            let kind = DirectoryKind::AckWise { pointers: p };
+            check_against_model(kind, Some(p), width, &ops, skip_seed)?;
         }
     }
 }

@@ -5,9 +5,9 @@
 //! (`TileState::txns`, slots recycled through the per-tile `TxnArena`);
 //! requests that find the line busy queue FIFO in `TileState::waiters`
 //! and their queueing time is charged as *L2 cache waiting time*. The
-//! decision kernel itself ([`DirectoryEntry::begin_request`]) is pure and
-//! lives in `lacc_core`; this module executes its decisions with real
-//! timing.
+//! decision kernel itself
+//! ([`lacc_core::home::DirectoryEntry::begin_request`]) is pure and lives
+//! in `lacc_core`; this module executes its decisions with real timing.
 //!
 //! Slab handle lifetimes on this side (DESIGN.md §6.2): an incoming dirty
 //! `InvAck`/`EvictNotify`/`WbData` handle is *adopted* as the new resident
@@ -25,7 +25,7 @@
 
 use lacc_cache::{DataRef, LineData};
 use lacc_core::classifier::{RemovalReason, SharerMode};
-use lacc_core::home::{AccessKind, DirectoryEntry, Grant, HomeRequest};
+use lacc_core::home::{AccessKind, Grant, HomeRequest};
 use lacc_core::mesi::MesiState;
 use lacc_core::sharer::InvalidationPlan;
 use lacc_model::{CoreId, Cycle, LatencyAnnotation, LineAddr};
@@ -143,9 +143,7 @@ impl Simulator {
         data: DataRef,
         now: Cycle,
     ) -> Result<(), DataRef> {
-        let entry =
-            DirectoryEntry::new(self.cfg.directory, &self.cfg.classifier, self.cfg.num_cores);
-        let fresh = L2Line { dirty: false, data, entry };
+        let fresh = L2Line { dirty: false, data, entry: self.blank_entry.clone() };
         // A victim must not have an in-flight transaction of its own.
         // Query the transaction/waiter maps directly per candidate (O(1)
         // each) instead of materializing every in-flight line per install.

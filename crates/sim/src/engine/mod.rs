@@ -41,6 +41,7 @@ mod shard;
 mod state;
 
 use lacc_cache::{DataRef, DataSlab, LineData, SetAssocCache};
+use lacc_core::home::DirectoryEntry;
 use lacc_core::l1::L1Cache;
 use lacc_core::rnuca::{RegionClass, Rnuca};
 use lacc_dram::DramSystem;
@@ -214,6 +215,9 @@ pub struct Simulator {
     pub(crate) backing: LineMap<DataRef>,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) tiles: Vec<TileState>,
+    /// The directory entry of a freshly installed L2 line, built once:
+    /// each install clones it, sharing its classifier parameters.
+    pub(crate) blank_entry: DirectoryEntry,
     pub(crate) events: EventPlane,
     pub(crate) inval_histogram: UtilizationHistogram,
     pub(crate) evict_histogram: UtilizationHistogram,
@@ -377,6 +381,7 @@ impl Simulator {
             backing: LineMap::default(),
             cores,
             tiles,
+            blank_entry: DirectoryEntry::new(cfg.directory, &cfg.classifier, cfg.num_cores),
             events,
             inval_histogram: UtilizationHistogram::new(),
             evict_histogram: UtilizationHistogram::new(),

@@ -509,6 +509,15 @@ mod tests {
         assert_eq!(w.pop(l), None);
         assert!(!w.line_busy(l));
     }
+
+    /// The L2 metadata array holds one `L2Line` per way of every slice
+    /// (64 slices × 4,096 ways on the Table-1 machine), so this size sets
+    /// most of a 64-core run's memory footprint.
+    #[test]
+    fn l2_line_stays_compact() {
+        let size = std::mem::size_of::<L2Line>();
+        assert!(size <= 96, "L2Line grew to {size} bytes");
+    }
 }
 
 #[cfg(test)]
