@@ -1,15 +1,17 @@
 //! Convenience runner: regenerates every table and figure in sequence by
 //! invoking the sibling experiment binaries with the same flags.
 //!
-//! All flags are forwarded verbatim — in particular `--jobs N` (sweep
-//! workers) and `--shards N` (threads inside each simulation), so one
-//! invocation parallelizes every sweep (`--jobs 1 --shards 1` reproduces
-//! the serial baseline byte-for-byte; CI diffs both axes). Per-binary
-//! wall-clock goes to stderr to keep stdout deterministic across worker
-//! and shard counts.
+//! All flags are checked up front, then forwarded verbatim — in
+//! particular `--jobs N` (sweep workers), so one invocation parallelizes
+//! every sweep (`--jobs 1` reproduces the serial baseline byte-for-byte;
+//! CI diffs it against `--jobs 2`). Per-binary wall-clock goes to stderr
+//! to keep stdout deterministic across worker counts. A failing binary
+//! stops the run, and its exit status becomes this one's.
 
-use std::process::Command;
+use std::process::{exit, Command};
 use std::time::Instant;
+
+use lacc_experiments::Cli;
 
 const BINS: [&str; 13] = [
     "tab01_parameters",
@@ -28,6 +30,8 @@ const BINS: [&str; 13] = [
 ];
 
 fn main() {
+    // Reject a malformed command line before any binary starts.
+    let _ = Cli::parse();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("exe dir");
@@ -38,11 +42,14 @@ fn main() {
         println!("== {bin}");
         println!("================================================================");
         let bin_started = Instant::now();
-        let status = Command::new(dir.join(bin))
-            .args(&args)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        assert!(status.success(), "{bin} failed");
+        let status = Command::new(dir.join(bin)).args(&args).status().unwrap_or_else(|e| {
+            eprintln!("error: failed to launch {bin}: {e}");
+            exit(1)
+        });
+        if !status.success() {
+            eprintln!("error: {bin} failed ({status})");
+            exit(status.code().unwrap_or(1));
+        }
         eprintln!("[all_figures] {bin} took {:.2}s", bin_started.elapsed().as_secs_f64());
     }
     println!("\nAll figures and tables regenerated; CSVs in ./results/");

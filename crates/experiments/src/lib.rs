@@ -14,16 +14,12 @@
 //! * `--bench <name>` — restrict to one benchmark (repeatable);
 //! * `--jobs <n>` — worker threads for the sweep (default: all cores;
 //!   `--jobs 1` runs serially on the calling thread);
-//! * `--shards <n>` — worker threads *inside each simulation* (default 1
-//!   = the serial engine; `0` = one per available hardware thread).
-//!   Reports are byte-identical for any shard count — the serial engine
-//!   is the oracle (DESIGN.md §7);
-//! * `--shard-commit inline|concurrent` — how sharded runs harvest
-//!   their commit windows: on the coordinator (`inline`, default) or on
-//!   per-shard crew threads (`concurrent`). Byte-identical either way;
 //! * `--quiet` — suppress per-run progress lines;
 //! * `--no-monitor` — disable the shadow-memory coherence monitor
 //!   (large calibration sweeps; drops its per-access checking cost).
+//!
+//! A missing or malformed value, an unknown benchmark or an unknown flag
+//! ends the binary with a one-line `error:` and exit status 2.
 //!
 //! ## Parallel sweeps are deterministic
 //!
@@ -53,10 +49,12 @@ use lacc_workloads::Benchmark;
 ///
 /// let cli = Cli::default();
 /// assert_eq!((cli.scale, cli.cores, cli.jobs), (1.0, 64, 0)); // 0 = auto
-/// assert_eq!(cli.shards, 1); // serial engine unless asked
 /// assert!(cli.sim_options().monitor);
-/// assert_eq!(cli.sim_options().shards, 1);
 /// assert_eq!(cli.benchmarks().len(), 21); // the full Table-2 suite
+///
+/// let cli = Cli::try_parse_from(["--cores", "8", "--quiet"]).unwrap();
+/// assert_eq!((cli.cores, cli.quiet), (8, true));
+/// assert!(Cli::try_parse_from(["--cores"]).is_err());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cli {
@@ -69,14 +67,6 @@ pub struct Cli {
     /// Worker threads for [`run_jobs`]: `0` = one per available hardware
     /// thread, `1` = serial on the calling thread.
     pub jobs: usize,
-    /// Shards *within* each simulation (`SimOptions::shards`): `1` =
-    /// the serial engine, `0` = one shard per available hardware thread.
-    /// Any value produces byte-identical reports.
-    pub shards: usize,
-    /// `--shard-commit concurrent`: harvest shard windows on real crew
-    /// threads (`SimOptions::concurrent_commit`); `inline` (default)
-    /// harvests on the coordinator. Byte-identical either way.
-    pub concurrent_commit: bool,
     /// Suppress progress output.
     pub quiet: bool,
     /// Disable the coherence monitor (calibration sweeps).
@@ -85,76 +75,67 @@ pub struct Cli {
 
 impl Default for Cli {
     fn default() -> Self {
-        Cli {
-            scale: 1.0,
-            cores: 64,
-            benches: Vec::new(),
-            jobs: 0,
-            shards: 1,
-            concurrent_commit: false,
-            quiet: false,
-            no_monitor: false,
-        }
+        Cli { scale: 1.0, cores: 64, benches: Vec::new(), jobs: 0, quiet: false, no_monitor: false }
     }
 }
+
+/// The flags every experiment binary accepts, printed after a parse error.
+const USAGE: &str =
+    "flags: --scale <f64> --cores <n> --bench <name> (repeatable) --jobs <n> --quiet --no-monitor";
 
 impl Cli {
     /// Parses `std::env::args`.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags or unknown
-    /// benchmark names.
+    /// On a malformed command line this prints `error: …` and the flag
+    /// list to stderr and exits the process with status 2.
     #[must_use]
     pub fn parse() -> Self {
+        Self::try_parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses `args` (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the offending flag: a value flag at the
+    /// end of the line, a value that does not parse, an unknown benchmark
+    /// name, or an unknown flag.
+    pub fn try_parse_from<I>(args: I) -> Result<Self, String>
+    where
+        I: IntoIterator,
+        I::Item: AsRef<str>,
+    {
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            v: Option<&str>,
+            kind: &str,
+        ) -> Result<T, String> {
+            let v = v.ok_or_else(|| format!("{flag} needs a value ({kind})"))?;
+            v.parse().map_err(|_| format!("{flag}: invalid value '{v}' (expected {kind})"))
+        }
         let mut cli = Cli::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    cli.scale = args[i].parse().expect("--scale takes a float");
-                }
-                "--cores" => {
-                    i += 1;
-                    cli.cores = args[i].parse().expect("--cores takes an integer");
-                }
+        let args: Vec<I::Item> = args.into_iter().collect();
+        let mut it = args.iter().map(AsRef::as_ref);
+        while let Some(flag) = it.next() {
+            match flag {
+                "--scale" => cli.scale = value(flag, it.next(), "a number")?,
+                "--cores" => cli.cores = value(flag, it.next(), "an integer")?,
+                "--jobs" => cli.jobs = value(flag, it.next(), "an integer, 0 = auto")?,
                 "--bench" => {
-                    i += 1;
-                    let b = Benchmark::by_name(&args[i])
-                        .unwrap_or_else(|| panic!("unknown benchmark '{}'", args[i]));
+                    let name: String = value(flag, it.next(), "a benchmark name")?;
+                    let b = Benchmark::by_name(&name)
+                        .ok_or_else(|| format!("--bench: unknown benchmark '{name}'"))?;
                     cli.benches.push(b);
-                }
-                "--jobs" => {
-                    i += 1;
-                    cli.jobs = args[i].parse().expect("--jobs takes an integer (0 = auto)");
-                }
-                "--shards" => {
-                    i += 1;
-                    cli.shards = args[i].parse().expect("--shards takes an integer (0 = auto)");
-                }
-                "--shard-commit" => {
-                    i += 1;
-                    cli.concurrent_commit = match args.get(i).map(String::as_str) {
-                        Some("concurrent") => true,
-                        Some("inline") => false,
-                        other => {
-                            panic!("--shard-commit takes 'inline' or 'concurrent', got {other:?}")
-                        }
-                    };
                 }
                 "--quiet" => cli.quiet = true,
                 "--no-monitor" => cli.no_monitor = true,
-                other => panic!(
-                    "unknown flag '{other}' \
-                     (try --scale/--cores/--bench/--jobs/--shards/--shard-commit/--quiet/\
-                      --no-monitor)"
-                ),
+                other => return Err(format!("unknown flag '{other}'")),
             }
-            i += 1;
         }
-        cli
+        Ok(cli)
     }
 
     /// The benchmarks to run.
@@ -173,22 +154,10 @@ impl Cli {
         config_for_cores(self.cores)
     }
 
-    /// The run-time simulator options these flags select. `--shards 0`
-    /// resolves to one shard per available hardware thread here (the
-    /// simulator itself clamps to the tile count).
+    /// The run-time simulator options these flags select.
     #[must_use]
     pub fn sim_options(&self) -> SimOptions {
-        let shards = if self.shards == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            self.shards
-        };
-        SimOptions {
-            monitor: !self.no_monitor,
-            shards,
-            concurrent_commit: self.concurrent_commit,
-            ..SimOptions::default()
-        }
+        SimOptions { monitor: !self.no_monitor, ..SimOptions::default() }
     }
 
     /// Runs a sweep with this invocation's scale, verbosity, simulator
@@ -447,7 +416,7 @@ pub fn run_jobs_hinted(
 
 /// [`run_jobs`] with an explicit sink receiving each job's
 /// `[lacc-sim-stats]` ledger line (one intact line per job, in
-/// submission order, regardless of `--jobs`/`--shards`). The
+/// submission order, regardless of `--jobs`). The
 /// `LACC_SIM_STATS` environment variable is ignored on this path — the
 /// sink *is* the opt-in — which keeps tests hermetic.
 ///
@@ -898,5 +867,51 @@ mod tests {
         let r = run_one_opts(Benchmark::WaterSp, &cfg, 0.02, cli.sim_options());
         assert_eq!(r.monitor.reads_checked, 0, "monitor must be off");
         assert!(r.completion_time > 0);
+    }
+
+    #[test]
+    fn cli_parses_a_full_argument_line() {
+        let cli = Cli::try_parse_from([
+            "--scale",
+            "0.02",
+            "--cores",
+            "8",
+            "--bench",
+            "water-sp",
+            "--bench",
+            "concomp",
+            "--jobs",
+            "2",
+            "--quiet",
+            "--no-monitor",
+        ])
+        .unwrap();
+        assert_eq!((cli.scale, cli.cores, cli.jobs), (0.02, 8, 2));
+        assert_eq!(cli.benches, [Benchmark::WaterSp, Benchmark::Concomp]);
+        assert!(cli.quiet && cli.no_monitor);
+    }
+
+    #[test]
+    fn cli_rejects_a_flag_missing_its_value() {
+        let e = Cli::try_parse_from(["--quiet", "--scale"]).unwrap_err();
+        assert_eq!(e, "--scale needs a value (a number)");
+    }
+
+    #[test]
+    fn cli_rejects_an_unparsable_value() {
+        let e = Cli::try_parse_from(["--cores", "many"]).unwrap_err();
+        assert_eq!(e, "--cores: invalid value 'many' (expected an integer)");
+    }
+
+    #[test]
+    fn cli_rejects_an_unknown_benchmark() {
+        let e = Cli::try_parse_from(["--bench", "doom"]).unwrap_err();
+        assert_eq!(e, "--bench: unknown benchmark 'doom'");
+    }
+
+    #[test]
+    fn cli_rejects_an_unknown_flag() {
+        let e = Cli::try_parse_from(["--turbo", "2"]).unwrap_err();
+        assert_eq!(e, "unknown flag '--turbo'");
     }
 }

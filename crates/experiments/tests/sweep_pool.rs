@@ -118,34 +118,6 @@ fn panicking_job_is_contained_and_named() {
     assert!(!msg.contains("ok-1") && !msg.contains("ok-2"), "healthy jobs not blamed: {msg}");
 }
 
-#[test]
-fn panicking_job_under_shards_is_contained_and_named() {
-    // Same containment contract when the job runs the *sharded* engine:
-    // the deadlock/validation panic may originate with worker threads
-    // parked inside the simulation, yet the sweep still finishes the
-    // healthy jobs and names the broken one.
-    let good = SystemConfig::small_for_tests(CORES);
-    let mut bad = SystemConfig::small_for_tests(CORES);
-    bad.classifier.pct = 0;
-
-    let jobs = vec![
-        ("ok-1".to_string(), Benchmark::WaterSp, good.clone()),
-        ("broken".to_string(), Benchmark::Streamcluster, bad),
-        ("ok-2".to_string(), Benchmark::WaterSp, good.with_pct(2)),
-    ];
-    let opts = SimOptions { shards: 2, ..SimOptions::default() };
-    let payload = catch_unwind(AssertUnwindSafe(|| run_jobs(jobs, SCALE, true, opts, 2)))
-        .expect_err("a panicking sharded job must fail the sweep");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .expect("panic payload is a message");
-    assert!(msg.contains("1 sweep job(s) panicked"), "got: {msg}");
-    assert!(msg.contains("[broken] streamclus."), "failure must name the job, got: {msg}");
-    assert!(!msg.contains("ok-1") && !msg.contains("ok-2"), "healthy jobs not blamed: {msg}");
-}
-
 /// The `LACC_SIM_STATS` regression (the old in-`run` `eprintln!` tore
 /// under parallel sweeps): through the sink path, every job emits exactly
 /// one intact, well-formed ledger line, in submission order, for any
@@ -153,16 +125,16 @@ fn panicking_job_under_shards_is_contained_and_named() {
 #[test]
 fn stats_sink_gets_one_intact_line_per_job_in_submission_order() {
     let mk = || jobs_from_seed(11, 5);
-    let collect = |workers: usize, shards: usize| -> Vec<String> {
+    let collect = |workers: usize| -> Vec<String> {
         let mut lines = Vec::new();
-        let opts = SimOptions { shards, ..SimOptions::default() };
+        let opts = SimOptions::default();
         let _ = run_jobs_with_stats_sink(mk(), SCALE, true, opts, workers, &mut |line| {
             lines.push(line.to_string());
         });
         lines
     };
 
-    let serial = collect(1, 1);
+    let serial = collect(1);
     assert_eq!(serial.len(), 5, "one line per job");
     let expected_workloads: Vec<String> =
         mk().iter().map(|(_, b, _)| format!("workload={}", b.name())).collect();
@@ -172,11 +144,8 @@ fn stats_sink_gets_one_intact_line_per_job_in_submission_order() {
         assert!(line.contains(" slab: allocs=") && line.contains(" total_refs="), "{line}");
         assert!(!line.contains('\n'), "one line, no tearing: {line:?}");
     }
-    // Any worker count — and the sharded engine inside each job — must
-    // reproduce the serial stream byte-for-byte.
-    for (workers, shards) in [(8, 1), (1, 2), (8, 2)] {
-        assert_eq!(collect(workers, shards), serial, "workers={workers} shards={shards}");
-    }
+    // A parallel sweep must reproduce the serial stream byte-for-byte.
+    assert_eq!(collect(8), serial, "workers=8");
 }
 
 #[test]

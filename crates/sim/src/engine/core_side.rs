@@ -8,11 +8,8 @@
 //! and rescheduled at the core's clock — so inter-core interleavings stay
 //! event-ordered (the lax synchronization of §4.1).
 //!
-//! These handlers run at *commit* time on every event plane: serial,
-//! windowed-sharded, and the model checker's choice plane all funnel
-//! through the same `dispatch`, so nothing here may observe how events
-//! were batched or harvested (DESIGN.md §7) — only `(cycle, seq)` commit
-//! order, which all planes keep identical.
+//! These handlers run on both event planes: the serial engine and the
+//! model checker's choice plane funnel through the same `dispatch`.
 
 use lacc_core::classifier::RemovalReason;
 use lacc_core::l1::StoreOutcome;
@@ -23,7 +20,7 @@ use crate::msg::{Message, Payload};
 use crate::sync::{SyncManager, SyncOutcome};
 use crate::trace::TraceOp;
 
-use super::state::{Blocked, Outstanding};
+use super::state::{BatchedSource, Blocked, Outstanding};
 use super::{Event, Simulator, INSTR_PER_LINE};
 
 impl Simulator {
@@ -37,14 +34,14 @@ impl Simulator {
             }
             let op = match self.cores[ci].replay.take() {
                 Some(op) => op,
-                None => match self.cores[ci].trace.next_op() {
+                None => match self.cores[ci].trace.as_mut().and_then(BatchedSource::next_op) {
                     Some(op) => {
                         self.cores[ci].ops_consumed += 1;
                         op
                     }
                     None => {
                         self.cores[ci].finished = true;
-                        self.cores[ci].trace = super::state::TraceFeed::Done;
+                        self.cores[ci].trace = None;
                         return;
                     }
                 },

@@ -16,8 +16,7 @@
 //! bytes; the header's version field negotiates which stream encoding
 //! follows, so v1 files keep decoding forever. Readers are zero-copy:
 //! every per-core cursor decodes in place from one shared immutable
-//! buffer (module [`mmap`]; an mmap on unix), instead of 64
-//! seek-positioned file handles.
+//! buffer (module [`buf`]), instead of 64 seek-positioned file handles.
 //!
 //! # Format specification (container + version-1 ops)
 //!
@@ -86,13 +85,13 @@
 //! # Ok::<(), lacc_model::TraceError>(())
 //! ```
 
-pub mod mmap;
+pub mod buf;
 pub mod reader;
 pub mod v2;
 pub mod varint;
 pub mod writer;
 
-pub use mmap::SharedBuf;
+pub use buf::SharedBuf;
 pub use reader::{
     read_header_bytes, read_workload, read_workload_bytes, workload_from_shared, LtfHeader,
     LtfTrace,

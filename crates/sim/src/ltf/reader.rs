@@ -1,15 +1,13 @@
 //! Zero-copy LTF decoding.
 //!
 //! [`read_workload`] is the replay entry point: it loads the file once
-//! into a [`SharedBuf`] (an mmap on unix, a heap read elsewhere), decodes
+//! into a [`SharedBuf`], decodes
 //! and validates header, region table and every op of every stream in a
 //! single pass over that buffer, then hands back a [`Workload`] whose
 //! per-core traces are [`LtfTrace`]s — cheap cursors that all share the
 //! one buffer and decode in place, one op (or one batch, via
 //! [`next_ops`](crate::TraceSource::next_ops)) per call. Nothing is ever
-//! copied out of the buffer and no per-core file handles exist; with an
-//! mmap backing, untouched parts of a large trace are never even paged
-//! in.
+//! copied out of the buffer and no per-core file handles exist.
 //!
 //! Both format versions decode here: the header's version field selects
 //! the per-stream decoder (plain v1 records or the delta-compressed
@@ -23,7 +21,7 @@ use lacc_model::{Addr, CoreId, LineAddr, TraceError};
 
 use crate::trace::{RegionDecl, TraceOp, TraceSource, Workload};
 
-use super::mmap::SharedBuf;
+use super::buf::SharedBuf;
 use super::v2::V2Decoder;
 use super::{
     varint, CLASS_INSTRUCTION, CLASS_PRIVATE, CLASS_SHARED, MAGIC, MAX_CORES, MAX_NAME_LEN,
@@ -319,15 +317,14 @@ impl LtfTrace {
 impl TraceSource for LtfTrace {
     /// # Panics
     ///
-    /// Panics if the already-validated backing buffer fails to decode —
-    /// only possible for an mmap-backed buffer whose file is truncated or
-    /// rewritten *while the simulation replays it*. Ending the stream
-    /// quietly instead would let the run complete with silently wrong
-    /// statistics.
+    /// Panics if the backing buffer fails to decode. [`LtfTrace::open`]
+    /// validated the stream and the buffer is immutable, so this marks a
+    /// decoder bug; ending the stream quietly instead would let the run
+    /// complete with silently wrong statistics.
     #[inline]
     fn next_op(&mut self) -> Option<TraceOp> {
         self.try_next()
-            .unwrap_or_else(|e| panic!("LTF file changed during replay (validated at open): {e}"))
+            .unwrap_or_else(|e| panic!("LTF stream failed to decode after validation at open: {e}"))
     }
 
     /// Batched decode straight off the shared buffer; same panic
@@ -353,7 +350,7 @@ impl TraceSource for LtfTrace {
                 self.finished = end;
                 appended
             }
-            Err(e) => panic!("LTF file changed during replay (validated at open): {e}"),
+            Err(e) => panic!("LTF stream failed to decode after validation at open: {e}"),
         }
     }
 }
@@ -389,8 +386,7 @@ fn drain_v1(
 /// Opens a `.ltf` file (either format version) as a replayable
 /// [`Workload`] with zero-copy per-core traces.
 ///
-/// The file is loaded once into a [`SharedBuf`] — an mmap where
-/// available, a buffered read otherwise — and validated in a single pass
+/// The file is read once into a [`SharedBuf`] and validated in a single pass
 /// over that buffer: header, offset table, then every op of every stream
 /// exactly once ([`LtfTrace::open`] doubles as the validator), so any
 /// corruption surfaces here as a typed error rather than during

@@ -64,9 +64,7 @@ pub struct ViolationRecord {
     pub cycle: Cycle,
     /// The global commit sequence number of the event that exposed the
     /// violation. Within one cycle many events commit; `(cycle, seq)`
-    /// totally orders violations, so "first violation" is deterministic
-    /// even when the windowed shard plane commits a cycle's events in
-    /// batches.
+    /// totally orders violations, so "first violation" is deterministic.
     pub seq: u64,
     /// The value observed.
     pub got: u64,

@@ -64,7 +64,7 @@ pub trait TraceSource: Send {
     /// This is the amortization point of the trace plane: batch-friendly
     /// sources (the LTF cursors, [`VecTrace`]) decode a whole batch per
     /// virtual call instead of paying per-op dispatch, which is what the
-    /// engine's prefetch feeds and the serial core pull consume. The
+    /// engine's per-core refill buffer consumes. The
     /// default just loops [`next_op`](Self::next_op), so existing sources
     /// keep working unchanged.
     fn next_ops(&mut self, out: &mut Vec<TraceOp>, max: usize) -> usize {

@@ -1,7 +1,7 @@
 //! The Table-1 machine's report, pinned byte for byte.
 //!
 //! Every other byte-identity check (the determinism suite, the golden
-//! figure CSVs, the `all_figures` worker/shard diffs) runs 4–8 cores on the
+//! figure CSVs, the `all_figures` worker-count diff) runs 4–8 cores on the
 //! 4-way `small_for_tests` L2. This test runs the geometry the benchmark
 //! measures — 64 tiles, 8-way 256 KB L2 slices, ACKwise-4, Limited_3 — on
 //! short ocean-nc and matmul traces and compares the full pretty-printed
